@@ -1,6 +1,5 @@
 #include "core/detector.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "common/binio.hpp"
@@ -30,7 +29,11 @@ nn::Network make_hotspot_cnn(const DetectorConfig& config, hsd::stats::Rng& rng)
 
 HotspotDetector::HotspotDetector(DetectorConfig config, hsd::stats::Rng rng)
     : config_(config), rng_(rng), net_(make_hotspot_cnn(config, rng_)),
-      opt_(config.learning_rate) {}
+      opt_(config.learning_rate) {
+  // Inference mode outside train_epochs(): predictions keep no backward
+  // state, and an untrained or freshly loaded replica serves the same way.
+  net_.set_training(false);
+}
 
 std::vector<double> HotspotDetector::class_weights(const std::vector<int>& labels) {
   double n1 = 0.0;
@@ -66,46 +69,8 @@ tensor::Tensor HotspotDetector::logits(const tensor::Tensor& x) {
 }
 
 nn::ForwardResult HotspotDetector::forward(const tensor::Tensor& x) {
-  const std::size_t n = x.dim(0);
-  const std::size_t chunk = std::max<std::size_t>(config_.inference_chunk, 1);
-  nn::ForwardResult out;
-  if (n == 0) return out;
-  // Single-chunk batches (every serving micro-batch) skip input staging
-  // entirely; the network reads the caller's tensor in place.
-  if (n <= chunk) return net_.forward_with_features(x);
-
-  const std::size_t row = x.size() / n;
-  for (std::size_t start = 0; start < n; start += chunk) {
-    const std::size_t end = std::min(start + chunk, n);
-    // Chunks are contiguous row ranges, so staging one is a single copy
-    // into the reused scratch tensor. The shape only changes on the final
-    // partial chunk (and on the first call), so steady-state chunking never
-    // reallocates — measured by bench_serve against the old per-chunk
-    // gather_rows allocation.
-    tensor::Shape cshape = x.shape();
-    cshape[0] = end - start;
-    if (inference_scratch_.shape() != cshape) {
-      inference_scratch_ = tensor::Tensor(cshape);
-    }
-    std::copy(x.data() + start * row, x.data() + end * row,
-              inference_scratch_.data());
-    nn::ForwardResult r = net_.forward_with_features(inference_scratch_);
-    if (start == 0) {
-      tensor::Shape lshape = r.logits.shape();
-      lshape[0] = n;
-      tensor::Shape fshape = r.features.shape();
-      fshape[0] = n;
-      out.logits = tensor::Tensor(lshape);
-      out.features = tensor::Tensor(fshape);
-    }
-    const std::size_t lrow = r.logits.size() / (end - start);
-    const std::size_t frow = r.features.size() / (end - start);
-    std::copy(r.logits.data(), r.logits.data() + r.logits.size(),
-              out.logits.data() + start * lrow);
-    std::copy(r.features.data(), r.features.data() + r.features.size(),
-              out.features.data() + start * frow);
-  }
-  return out;
+  if (x.dim(0) == 0) return {};
+  return net_.forward_with_features(x);
 }
 
 std::vector<std::vector<double>> HotspotDetector::probabilities(

@@ -29,8 +29,6 @@ struct DetectorConfig {
   std::size_t initial_epochs = 30;
   std::size_t finetune_epochs = 8;
   std::size_t batch_size = 32;
-  /// Inference chunk size (bounds activation memory on full-chip scans).
-  std::size_t inference_chunk = 4096;
 };
 
 /// Builds the two-conv / two-dense CNN described in DetectorConfig.
@@ -47,14 +45,14 @@ class HotspotDetector {
   /// Fine-tuning after a batch of new labels: `finetune_epochs`.
   void finetune(const tensor::Tensor& x, const std::vector<int>& labels);
 
-  /// Logits for a batch, computed in chunks.
+  /// Logits for a batch.
   tensor::Tensor logits(const tensor::Tensor& x);
 
-  /// Logits plus penultimate features. Batches no larger than
-  /// `inference_chunk` (the serving hot path) are forwarded directly with no
-  /// input copy; larger batches are processed in chunks through a
-  /// preallocated scratch tensor that is reused across chunks and calls, so
-  /// steady-state batch prediction allocates nothing for its inputs.
+  /// Logits plus penultimate features, from one inference-mode pass over
+  /// the whole batch: the network reads `x` in place and keeps no backward
+  /// state, and each convolution works through bounded chunks of whole
+  /// images (nn::Conv2d::kChunk). Any batch cut yields the same bits per
+  /// row.
   nn::ForwardResult forward(const tensor::Tensor& x);
 
   /// Calibrated [p0, p1] rows at temperature T (Eq. 5; T = 1 uncalibrated).
@@ -86,8 +84,6 @@ class HotspotDetector {
   hsd::stats::Rng rng_;
   nn::Network net_;
   nn::Adam opt_;
-  /// Chunk staging buffer for forward(); pure cache, never serialized.
-  tensor::Tensor inference_scratch_;
 };
 
 }  // namespace hsd::core

@@ -65,6 +65,13 @@ bool wait_fd(int fd, short events, int timeout_ms) {
   }
 }
 
+/// Disables Nagle on a TCP socket. Both ends need it: a small reply held
+/// back by Nagle waits out the peer's delayed ACK (~40 ms on Linux).
+void set_no_delay(int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
 }  // namespace
 
 void Socket::close() {
@@ -166,7 +173,9 @@ Endpoint bound_endpoint(const Socket& listener, const Endpoint& requested) {
 
 Socket accept_with_timeout(const Socket& listener, int timeout_ms) {
   if (!wait_fd(listener.fd(), POLLIN, timeout_ms)) return Socket();
-  const int fd = ::accept(listener.fd(), nullptr, nullptr);
+  sockaddr_storage peer{};
+  socklen_t peer_len = sizeof(peer);
+  const int fd = ::accept(listener.fd(), sa_cast(&peer), &peer_len);
   if (fd < 0) {
     if (errno == EINTR || errno == ECONNABORTED || errno == EAGAIN ||
         errno == EWOULDBLOCK) {
@@ -174,6 +183,7 @@ Socket accept_with_timeout(const Socket& listener, int timeout_ms) {
     }
     throw NetError(errno_text("accept on", "listener"));
   }
+  if (peer.ss_family == AF_INET) set_no_delay(fd);
   return Socket(fd);
 }
 
@@ -206,10 +216,7 @@ Socket connect_to(const Endpoint& ep, int timeout_ms) {
   } else if (rc != 0) {
     throw NetError(errno_text("connect to", to_string(ep)));
   }
-  if (ep.kind == Endpoint::Kind::kTcp) {
-    const int one = 1;
-    ::setsockopt(s.fd(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  }
+  if (ep.kind == Endpoint::Kind::kTcp) set_no_delay(s.fd());
   return s;
 }
 

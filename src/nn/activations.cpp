@@ -7,15 +7,19 @@ namespace hsd::nn {
 
 Tensor Relu::forward(const Tensor& input) {
   Tensor out = input;
-  mask_ = Tensor(input.shape());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    if (out[i] > 0.0F) {
-      mask_[i] = 1.0F;
-    } else {
-      out[i] = 0.0F;
+  forward_in_place(out);
+  return out;
+}
+
+void Relu::forward_in_place(Tensor& x) {
+  mask_ = Tensor();
+  if (training()) {
+    mask_ = Tensor(x.shape());
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      if (x[i] > 0.0F) mask_[i] = 1.0F;
     }
   }
-  return out;
+  for (float& v : x.storage()) v = v > 0.0F ? v : 0.0F;
 }
 
 Tensor Relu::backward(const Tensor& grad_output) {
@@ -28,11 +32,14 @@ Tensor Relu::backward(const Tensor& grad_output) {
 }
 
 Tensor Tanh::forward(const Tensor& input) {
-  output_ = input;
-  for (std::size_t i = 0; i < output_.size(); ++i) {
-    output_[i] = std::tanh(output_[i]);
-  }
-  return output_;
+  Tensor out = input;
+  forward_in_place(out);
+  return out;
+}
+
+void Tanh::forward_in_place(Tensor& x) {
+  for (float& v : x.storage()) v = std::tanh(v);
+  output_ = training() ? x : Tensor();
 }
 
 Tensor Tanh::backward(const Tensor& grad_output) {

@@ -1,5 +1,6 @@
 #include "nn/conv.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <vector>
@@ -39,7 +40,6 @@ Tensor Conv2d::forward(const Tensor& input) {
     throw std::invalid_argument("Conv2d::forward: expected NCHW input with matching C");
   }
   hsd::tensor::debug_check_finite(input.data(), input.size(), "Conv2d::forward input");
-  input_ = input;
   const std::size_t n = input.dim(0);
   const std::size_t h = input.dim(2);
   const std::size_t w = input.dim(3);
@@ -47,31 +47,45 @@ Tensor Conv2d::forward(const Tensor& input) {
   const std::size_t ow = conv_out_extent(w, k_, stride_, pad_);
   const std::size_t patch = in_c_ * k_ * k_;
   const std::size_t out_spatial = oh * ow;
+  const std::size_t image = in_c_ * h * w;
 
   Tensor out({n, out_c_, oh, ow});
-  // Images are independent; each block keeps a private im2col scratch so
-  // blocks never share mutable state. The per-image math is untouched, so
-  // any thread count produces the serial result bit for bit.
-  runtime::parallel_for(0, n, 1, [&](std::size_t n0, std::size_t n1) {
-    std::vector<float> columns(patch * out_spatial);
-    for (std::size_t img = n0; img < n1; ++img) {
-      const float* src = input.data() + img * in_c_ * h * w;
-      im2col(src, in_c_, h, w, k_, k_, stride_, pad_, columns.data());
-      float* dst = out.data() + img * out_c_ * out_spatial;
-      // (out_c x patch) * (patch x out_spatial)
-      hsd::tensor::matmul(w_.data(), columns.data(), dst, out_c_, patch, out_spatial);
+  // Up to kChunk images lower side by side into one (patch x images*OH*OW)
+  // matrix, so a chunk is one im2col and one GEMM. A GEMM's output element
+  // accumulates the same products in the same order at any column count,
+  // so this is the per-image convolution bit for bit, on every backend and
+  // at any thread count (the kernels partition rows only).
+  const std::size_t chunk = std::min(n, kChunk);
+  columns_.resize(patch * chunk * out_spatial);
+  product_.resize(out_c_ * chunk * out_spatial);
+  for (std::size_t first = 0; first < n; first += chunk) {
+    const std::size_t images = std::min(chunk, n - first);
+    const std::size_t cols = images * out_spatial;
+    im2col(input.data() + first * image, images, in_c_, h, w, k_, k_, stride_,
+           pad_, columns_.data());
+    // (out_c x patch) * (patch x images*OH*OW)
+    hsd::tensor::matmul(w_.data(), columns_.data(), product_.data(), out_c_,
+                        patch, cols);
+    // Scatter back to NCHW, adding the bias on the way.
+    for (std::size_t img = 0; img < images; ++img) {
+      float* dst = out.data() + (first + img) * out_c_ * out_spatial;
       for (std::size_t oc = 0; oc < out_c_; ++oc) {
+        const float* src = product_.data() + oc * cols + img * out_spatial;
         float* plane = dst + oc * out_spatial;
-        for (std::size_t s = 0; s < out_spatial; ++s) plane[s] += b_[oc];
+        const float bias = b_[oc];
+        for (std::size_t s = 0; s < out_spatial; ++s) plane[s] = src[s] + bias;
       }
     }
-  });
+  }
+  input_ = training() ? input : Tensor();
   return out;
 }
 
 Tensor Conv2d::backward(const Tensor& grad_output) {
   HSD_SPAN("nn/conv_bwd");
-  HSD_DCHECK_EQ(input_.rank(), 4u, "Conv2d::backward before forward");
+  if (input_.rank() != 4) {
+    throw std::logic_error("Conv2d::backward: no training-mode forward to differentiate");
+  }
   hsd::tensor::debug_check_finite(grad_output.data(), grad_output.size(),
                                   "Conv2d::backward grad");
   const std::size_t n = input_.dim(0);
@@ -102,7 +116,7 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
       const float* gout = grad_output.data() + img * out_c_ * out_spatial;
 
       // dW_img = dY * columns^T : (out_c x out_spatial) * (out_spatial x patch)
-      im2col(src, in_c_, h, w, k_, k_, stride_, pad_, columns.data());
+      im2col(src, 1, in_c_, h, w, k_, k_, stride_, pad_, columns.data());
       hsd::tensor::matmul_a_bt(gout, columns.data(),
                                w_grad_per_img.data() + img * out_c_ * patch,
                                out_c_, out_spatial, patch);

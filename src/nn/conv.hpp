@@ -2,6 +2,8 @@
 // 2-D convolution layer implemented as im2col + GEMM.
 // Input and output are NCHW tensors.
 
+#include <vector>
+
 #include "nn/layer.hpp"
 #include "stats/rng.hpp"
 
@@ -9,6 +11,12 @@ namespace hsd::nn {
 
 class Conv2d : public Layer {
  public:
+  /// Whole images lowered per im2col + GEMM in forward(). Bounds the reused
+  /// scratch at kChunk images however large the batch; the result does not
+  /// depend on it (each output element's accumulation chain is the same at
+  /// any GEMM width).
+  static constexpr std::size_t kChunk = 16;
+
   /// Square-kernel convolution with stride and zero padding, He init.
   Conv2d(std::size_t in_channels, std::size_t out_channels, std::size_t kernel,
          hsd::stats::Rng& rng, std::size_t stride = 1, std::size_t pad = 0);
@@ -33,7 +41,11 @@ class Conv2d : public Layer {
   Tensor b_;       // (out_c)
   Tensor w_grad_;
   Tensor b_grad_;
-  Tensor input_;   // cached NCHW input
+  Tensor input_;   // cached NCHW input (training mode only)
+  // forward() scratch for one chunk, reused across calls: the im2col
+  // matrix (in_c*k*k, images*OH*OW) and its GEMM product (out_c, ...).
+  std::vector<float> columns_;
+  std::vector<float> product_;
 };
 
 }  // namespace hsd::nn

@@ -24,7 +24,6 @@ Tensor Dense::forward(const Tensor& input) {
   if (input.rank() != 2 || input.dim(1) != in_) {
     throw std::invalid_argument("Dense::forward: bad input shape");
   }
-  input_ = input;
   const std::size_t n = input.dim(0);
   Tensor out({n, out_});
   // out = x * W^T
@@ -33,12 +32,16 @@ Tensor Dense::forward(const Tensor& input) {
     float* row = out.data() + i * out_;
     for (std::size_t j = 0; j < out_; ++j) row[j] += b_[j];
   }
+  input_ = training() ? input : Tensor();
   return out;
 }
 
 Tensor Dense::backward(const Tensor& grad_output) {
   if (grad_output.rank() != 2 || grad_output.dim(1) != out_) {
     throw std::invalid_argument("Dense::backward: bad grad shape");
+  }
+  if (input_.rank() != 2) {
+    throw std::logic_error("Dense::backward: no training-mode forward to differentiate");
   }
   const std::size_t n = grad_output.dim(0);
   if (input_.dim(0) != n) {

@@ -31,7 +31,7 @@ class Dense : public Layer {
   Tensor b_;       // (out)
   Tensor w_grad_;
   Tensor b_grad_;
-  Tensor input_;   // cached forward input (N, in)
+  Tensor input_;   // cached forward input (N, in), training mode only
 };
 
 }  // namespace hsd::nn

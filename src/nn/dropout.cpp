@@ -11,23 +11,31 @@ Dropout::Dropout(double p, hsd::stats::Rng rng) : p_(p), rng_(rng) {
 }
 
 Tensor Dropout::forward(const Tensor& input) {
-  if (!training_ || p_ == 0.0) {
-    mask_ = Tensor(input.shape(), 1.0F);
-    return input;
-  }
-  mask_ = Tensor(input.shape());
-  const auto scale = static_cast<float>(1.0 / (1.0 - p_));
   Tensor out = input;
-  for (std::size_t i = 0; i < out.size(); ++i) {
+  forward_in_place(out);
+  return out;
+}
+
+void Dropout::forward_in_place(Tensor& x) {
+  if (!training()) {
+    mask_ = Tensor();
+    return;
+  }
+  if (p_ == 0.0) {
+    mask_ = Tensor(x.shape(), 1.0F);
+    return;
+  }
+  mask_ = Tensor(x.shape());
+  const auto scale = static_cast<float>(1.0 / (1.0 - p_));
+  for (std::size_t i = 0; i < x.size(); ++i) {
     if (rng_.bernoulli(p_)) {
       mask_[i] = 0.0F;
-      out[i] = 0.0F;
+      x[i] = 0.0F;
     } else {
       mask_[i] = scale;
-      out[i] *= scale;
+      x[i] *= scale;
     }
   }
-  return out;
 }
 
 void Dropout::save_state(std::ostream& os) const {

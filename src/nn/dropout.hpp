@@ -15,21 +15,19 @@ class Dropout : public Layer {
   Dropout(double p, hsd::stats::Rng rng);
 
   Tensor forward(const Tensor& input) override;
+  void forward_in_place(Tensor& x) override;
   Tensor backward(const Tensor& grad_output) override;
   std::string name() const override { return "Dropout"; }
-  void set_training(bool training) override { training_ = training; }
 
   /// Persists the mask RNG so resumed training draws the same masks.
   void save_state(std::ostream& os) const override;
   void load_state(std::istream& is) override;
 
   double drop_probability() const { return p_; }
-  bool training() const { return training_; }
 
  private:
   double p_;
   hsd::stats::Rng rng_;
-  bool training_ = true;
   Tensor mask_;  // keep-mask scaled by 1/(1-p)
 };
 

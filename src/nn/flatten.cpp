@@ -6,7 +6,7 @@ namespace hsd::nn {
 
 Tensor Flatten::forward(const Tensor& input) {
   if (input.rank() < 2) throw std::invalid_argument("Flatten::forward: rank < 2");
-  in_shape_ = input.shape();
+  in_shape_ = training() ? input.shape() : hsd::tensor::Shape{};
   const std::size_t n = input.dim(0);
   return input.reshaped({n, input.size() / n});
 }

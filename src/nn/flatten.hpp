@@ -12,7 +12,7 @@ class Flatten : public Layer {
   std::string name() const override { return "Flatten"; }
 
  private:
-  hsd::tensor::Shape in_shape_;
+  hsd::tensor::Shape in_shape_;  // training mode only
 };
 
 }  // namespace hsd::nn

@@ -1,10 +1,13 @@
 #pragma once
 // Layer interface of the from-scratch neural-network engine.
 //
-// Layers are stateful: forward() caches whatever backward() needs, so a
-// backward() call must follow the forward() it differentiates. Parameters
-// and their gradients are exposed as (value, grad) tensor pairs for the
-// optimizers.
+// Layers are stateful: in training mode forward() caches whatever
+// backward() needs, so a backward() call must follow the forward() it
+// differentiates. In inference mode forward() keeps no backward state at
+// all (and releases any left from training), so backward() after an
+// inference-mode forward() throws. Except for Dropout, both modes compute
+// bit-identical outputs. Parameters and their gradients are exposed as
+// (value, grad) tensor pairs for the optimizers.
 
 #include <iosfwd>
 #include <memory>
@@ -29,8 +32,14 @@ class Layer {
  public:
   virtual ~Layer() = default;
 
-  /// Maps an input batch to an output batch, caching for backward().
+  /// Maps an input batch to an output batch, caching for backward() in
+  /// training mode only.
   virtual Tensor forward(const Tensor& input) = 0;
+
+  /// forward() on a batch its owner no longer needs: replaces `x` with the
+  /// output. Element-wise layers override this to write in place instead
+  /// of allocating a second activation of the same size.
+  virtual void forward_in_place(Tensor& x) { x = forward(x); }
 
   /// Maps d(loss)/d(output) to d(loss)/d(input), accumulating parameter
   /// gradients. Must be preceded by a forward() on the same batch.
@@ -42,9 +51,10 @@ class Layer {
   /// Zeroes all parameter gradients.
   void zero_grad();
 
-  /// Switches between training and inference behaviour (dropout etc.);
-  /// no-op for layers without mode-dependent behaviour.
-  virtual void set_training(bool training) { (void)training; }
+  /// Switches between training (the default) and inference behaviour:
+  /// inference skips every backward cache, and dropout becomes identity.
+  void set_training(bool training) { training_ = training; }
+  bool training() const { return training_; }
 
   /// Human-readable layer name for summaries and serialization.
   virtual std::string name() const = 0;
@@ -58,6 +68,9 @@ class Layer {
 
   /// Number of scalar parameters.
   std::size_t num_params();
+
+ private:
+  bool training_ = true;
 };
 
 }  // namespace hsd::nn

@@ -1,6 +1,8 @@
 #include "nn/network.hpp"
 
+#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "tensor/ops.hpp"
 
@@ -9,24 +11,37 @@ namespace hsd::nn {
 using hsd::tensor::gather_rows;
 
 Tensor Network::forward(const Tensor& input) {
-  Tensor x = input;
-  for (auto& layer : layers_) x = layer->forward(x);
+  return forward_layers(input, layers_.size());
+}
+
+Tensor Network::forward_layers(const Tensor& input, std::size_t count) {
+  backward_ready_ = std::all_of(layers_.begin(), layers_.end(),
+                                [](const auto& layer) { return layer->training(); });
+  if (count == 0) return input;
+  // The first layer reads the caller's tensor, which nothing copies. Every
+  // later activation belongs to this pass, so element-wise layers may
+  // overwrite it instead of allocating another of the same size.
+  Tensor x = layers_[0]->forward(input);
+  for (std::size_t i = 1; i < count; ++i) layers_[i]->forward_in_place(x);
   return x;
 }
 
 ForwardResult Network::forward_with_features(const Tensor& input) {
   if (layers_.empty()) throw std::logic_error("Network::forward_with_features: empty net");
   ForwardResult out;
-  Tensor x = input;
-  for (std::size_t i = 0; i + 1 < layers_.size(); ++i) x = layers_[i]->forward(x);
+  Tensor x = forward_layers(input, layers_.size() - 1);
+  out.logits = layers_.back()->forward(x);
   // The input of the final (classifier) layer is the feature representation.
   const std::size_t n = x.dim(0);
-  out.features = x.rank() == 2 ? x : x.reshaped({n, x.size() / n});
-  out.logits = layers_.back()->forward(x);
+  out.features = x.rank() == 2 ? std::move(x) : x.reshaped({n, x.size() / n});
   return out;
 }
 
 Tensor Network::backward(const Tensor& grad_logits) {
+  if (!backward_ready_) {
+    throw std::logic_error(
+        "Network::backward: no training-mode forward to differentiate");
+  }
   Tensor g = grad_logits;
   for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
     g = (*it)->backward(g);

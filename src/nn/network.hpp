@@ -48,7 +48,10 @@ class Network {
   std::size_t num_layers() const { return layers_.size(); }
   Layer& layer(std::size_t i) { return *layers_.at(i); }
 
-  /// Forward pass producing logits.
+  /// Forward pass producing logits. Reads `input` in place. In inference
+  /// mode (set_training(false)) no layer keeps backward state, so the pass
+  /// holds only the activations in flight; the logits are bit-identical to
+  /// a training-mode pass.
   Tensor forward(const Tensor& input);
 
   /// Forward pass that also captures the input of the last layer as the
@@ -56,6 +59,7 @@ class Network {
   ForwardResult forward_with_features(const Tensor& input);
 
   /// Backward pass from d(loss)/d(logits); accumulates parameter grads.
+  /// Throws std::logic_error unless the last forward ran in training mode.
   Tensor backward(const Tensor& grad_logits);
 
   /// All trainable parameters across layers.
@@ -64,7 +68,7 @@ class Network {
   /// Zeroes all gradients.
   void zero_grad();
 
-  /// Propagates training/inference mode to every layer.
+  /// Propagates training (the default) or inference mode to every layer.
   void set_training(bool training);
 
   /// Total scalar parameter count.
@@ -97,7 +101,13 @@ class Network {
   void load(std::istream& is, Optimizer* opt = nullptr);
 
  private:
+  /// Runs the first `count` layers over `input`.
+  Tensor forward_layers(const Tensor& input, std::size_t count);
+
   std::vector<std::unique_ptr<Layer>> layers_;
+  /// True when the last forward ran every layer in training mode, i.e. the
+  /// layers hold the caches backward() differentiates through.
+  bool backward_ready_ = false;
 };
 
 }  // namespace hsd::nn

@@ -14,14 +14,17 @@ MaxPool2d::MaxPool2d(std::size_t window, std::size_t stride)
 
 Tensor MaxPool2d::forward(const Tensor& input) {
   if (input.rank() != 4) throw std::invalid_argument("MaxPool2d::forward: expected NCHW");
-  in_shape_ = input.shape();
   const std::size_t n = input.dim(0), c = input.dim(1), h = input.dim(2),
                     w = input.dim(3);
   const std::size_t oh = hsd::tensor::conv_out_extent(h, window_, stride_, 0);
   const std::size_t ow = hsd::tensor::conv_out_extent(w, window_, stride_, 0);
 
   Tensor out({n, c, oh, ow});
-  argmax_.assign(out.size(), 0);
+  // Backward routes each gradient to its window's max; inference keeps no
+  // record of where that was.
+  in_shape_ = training() ? input.shape() : hsd::tensor::Shape{};
+  argmax_ = std::vector<std::size_t>(training() ? out.size() : 0);
+  std::size_t* argmax = training() ? argmax_.data() : nullptr;
   std::size_t oidx = 0;
   for (std::size_t img = 0; img < n; ++img) {
     for (std::size_t ch = 0; ch < c; ++ch) {
@@ -43,7 +46,7 @@ Tensor MaxPool2d::forward(const Tensor& input) {
             }
           }
           out[oidx] = best;
-          argmax_[oidx] = best_idx;
+          if (argmax != nullptr) argmax[oidx] = best_idx;
         }
       }
     }

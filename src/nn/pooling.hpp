@@ -22,6 +22,7 @@ class MaxPool2d : public Layer {
   std::size_t stride_;
   hsd::tensor::Shape in_shape_;
   std::vector<std::size_t> argmax_;  // flat input index of each output max
+                                     // (training mode only)
 };
 
 }  // namespace hsd::nn

@@ -179,8 +179,12 @@ void TaskGroup::record_exception() {
 }
 
 void TaskGroup::finish_one() {
+  // The decrement must happen under mutex_: wait() may return (and the
+  // group be destroyed) as soon as it sees pending_ == 0, but it re-locks
+  // mutex_ first, so a worker holding the lock here is never left touching
+  // a dead group's mutex or condition variable.
+  std::lock_guard<std::mutex> lock(mutex_);
   if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    std::lock_guard<std::mutex> lock(mutex_);
     done_cv_.notify_all();
   }
 }

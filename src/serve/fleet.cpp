@@ -31,9 +31,9 @@ FleetRouter::FleetRouter(const FleetConfig& config,
     : config_(config),
       ring_(shards.size(), config.virtual_nodes),
       extractor_(config.shard.feature_grid, config.shard.feature_keep),
+      shards_(std::move(shards)),
       routed_(obs::counter(config.shard.metric_prefix + "/router/requests")),
-      shed_(obs::counter(config.shard.metric_prefix + "/router/shed")),
-      shards_(std::move(shards)) {
+      shed_(obs::counter(config.shard.metric_prefix + "/router/shed")) {
   config_.shards = shards_.size();
 }
 

@@ -131,19 +131,10 @@ void InferenceService::collector_main() {
     {
       std::unique_lock<std::mutex> lock(mutex_);
       queue_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        if (stopping_) return;
-        continue;
-      }
-      // Batch-forming window: wait for company until the batch is full,
-      // the delay budget since the first request expires, or a drain
-      // begins. Spurious wakeups just re-evaluate the predicate.
-      const auto window_end =
-          Clock::now() + std::chrono::microseconds(config_.max_delay_us);
-      queue_cv_.wait_until(lock, window_end, [this] {
-        return stopping_ || queue_.size() >= config_.max_batch;
-      });
+      if (queue_.empty()) return;  // stopping, and the drain is complete
     }
+    // Work-conserving: never hold a request back to wait for company.
+    // Whatever queued while the previous batch ran forms the next one.
     pump();
   }
 }

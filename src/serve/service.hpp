@@ -8,9 +8,11 @@
 // this clip now" traffic from OPC and routing tools). Serving them one at a
 // time wastes the batch-level GEMM throughput the runtime pool was built
 // for, so the service queues requests and a collector drains the queue into
-// micro-batches: a batch closes when it reaches `max_batch` requests or
-// when `max_delay_us` has elapsed since its first request — full batches
-// under load, bounded queueing delay when idle.
+// micro-batches. The collector is work-conserving: as soon as it is free it
+// runs whatever is queued, up to `max_batch` requests, and never waits for
+// company. An idle shard answers a lone request at once; under load the
+// requests that arrive while one batch runs form the next, so batches fill
+// exactly as far as the load demands.
 //
 // Per request: rasterize -> content-hash the bitmap -> DCT features (LRU
 // cache keyed by the hash; repeated pattern families skip the dominant DCT
@@ -63,8 +65,6 @@ struct ServiceConfig {
   double decision_threshold = 0.4;
   /// Largest micro-batch a collector pass executes.
   std::size_t max_batch = 16;
-  /// Longest a batch waits for company after its first request.
-  std::uint64_t max_delay_us = 200;
   /// Bounded-queue depth; submissions beyond it are rejected.
   std::size_t max_queue = 1024;
   /// LRU feature-cache entries (0 disables caching).

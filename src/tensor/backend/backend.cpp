@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
 #include "common/registry.hpp"
 #include "obs/metrics.hpp"
@@ -70,13 +71,12 @@ void ScalarBackend::im2col(const float* image, std::size_t height,
                            std::size_t width, std::size_t kh, std::size_t kw,
                            std::size_t stride, std::size_t pad, std::size_t oh,
                            std::size_t ow, std::size_t r0, std::size_t r1,
-                           float* columns) const {
-  const std::size_t out_spatial = oh * ow;
+                           float* columns, std::size_t ld) const {
   for (std::size_t row = r0; row < r1; ++row) {
     const std::size_t c = row / (kh * kw);
     const std::size_t ki = (row / kw) % kh;
     const std::size_t kj = row % kw;
-    float* dst = columns + row * out_spatial;
+    float* dst = columns + row * ld;
     for (std::size_t oi = 0; oi < oh; ++oi) {
       const std::ptrdiff_t ii = static_cast<std::ptrdiff_t>(oi * stride + ki) -
                                 static_cast<std::ptrdiff_t>(pad);
@@ -172,53 +172,55 @@ void BlockedBackend::gemm_a_bt(const float* a, const float* b, float* c,
   }
 }
 
+namespace {
+
+/// Output positions o in [lo, hi) whose input tap o*stride + offset - pad
+/// lies inside [0, extent); every other position reads zero padding.
+std::pair<std::size_t, std::size_t> tap_range(std::size_t offset, std::size_t pad,
+                                              std::size_t stride, std::size_t extent,
+                                              std::size_t out) {
+  const std::size_t lo = pad > offset ? (pad - offset + stride - 1) / stride : 0;
+  std::size_t hi = 0;
+  if (extent + pad > offset) hi = std::min(out, (extent + pad - offset - 1) / stride + 1);
+  return {std::min(lo, hi), hi};
+}
+
+}  // namespace
+
 void BlockedBackend::im2col(const float* image, std::size_t height,
                             std::size_t width, std::size_t kh, std::size_t kw,
                             std::size_t stride, std::size_t pad, std::size_t oh,
                             std::size_t ow, std::size_t r0, std::size_t r1,
-                            float* columns) const {
-  const std::size_t out_spatial = oh * ow;
+                            float* columns, std::size_t ld) const {
   for (std::size_t row = r0; row < r1; ++row) {
     const std::size_t c = row / (kh * kw);
     const std::size_t ki = (row / kw) % kh;
     const std::size_t kj = row % kw;
-    float* dst = columns + row * out_spatial;
+    float* dst = columns + row * ld;
     const float* plane = image + c * height * width;
-    for (std::size_t oi = 0; oi < oh; ++oi) {
+    // The in-bounds window of a kernel tap is the same rectangle for every
+    // output row, so the bounds are worked out once per matrix row; the
+    // rows above and below it read only padding.
+    const auto [oi_lo, oi_hi] = tap_range(ki, pad, stride, height, oh);
+    const auto [oj_lo, oj_hi] = tap_range(kj, pad, stride, width, ow);
+    std::fill(dst, dst + oi_lo * ow, 0.0F);
+    std::fill(dst + oi_hi * ow, dst + oh * ow, 0.0F);
+    for (std::size_t oi = oi_lo; oi < oi_hi; ++oi) {
       float* drow = dst + oi * ow;
-      const std::ptrdiff_t ii = static_cast<std::ptrdiff_t>(oi * stride + ki) -
-                                static_cast<std::ptrdiff_t>(pad);
-      if (ii < 0 || ii >= static_cast<std::ptrdiff_t>(height)) {
-        std::memset(drow, 0, ow * sizeof(float));
-        continue;
-      }
-      // Valid oj range: 0 <= oj*stride + kj - pad < width.
-      std::size_t oj_lo = 0;
-      if (pad > kj) oj_lo = (pad - kj + stride - 1) / stride;
-      std::size_t oj_hi = 0;  // one past the last in-bounds oj
-      const std::ptrdiff_t max_jj = static_cast<std::ptrdiff_t>(width) - 1 +
-                                    static_cast<std::ptrdiff_t>(pad) -
-                                    static_cast<std::ptrdiff_t>(kj);
-      if (max_jj >= 0) {
-        oj_hi = std::min(ow, static_cast<std::size_t>(max_jj) / stride + 1);
-      }
-      oj_lo = std::min(oj_lo, oj_hi);
-      std::memset(drow, 0, oj_lo * sizeof(float));
-      const float* srow = plane + static_cast<std::size_t>(ii) * width;
-      const std::ptrdiff_t jj_lo =
-          static_cast<std::ptrdiff_t>(oj_lo * stride + kj) -
-          static_cast<std::ptrdiff_t>(pad);
-      if (stride == 1) {
-        std::memcpy(drow + oj_lo, srow + jj_lo,
-                    (oj_hi - oj_lo) * sizeof(float));
-      } else {
-        const float* src = srow + jj_lo;
-        for (std::size_t oj = oj_lo; oj < oj_hi; ++oj) {
-          drow[oj] = *src;
-          src += stride;
+      // Plain loops, not memset/memcpy: CNN rows are a few floats long,
+      // where a library call costs more than the copy.
+      std::size_t oj = 0;
+      for (; oj < oj_lo; ++oj) drow[oj] = 0.0F;
+      if (oj_lo < oj_hi) {
+        const float* src = plane + (oi * stride + ki - pad) * width +
+                           (oj_lo * stride + kj - pad);
+        if (stride == 1) {
+          for (; oj < oj_hi; ++oj) drow[oj] = *src++;
+        } else {
+          for (; oj < oj_hi; ++oj, src += stride) drow[oj] = *src;
         }
       }
-      std::memset(drow + oj_hi, 0, (ow - oj_hi) * sizeof(float));
+      for (; oj < ow; ++oj) drow[oj] = 0.0F;
     }
   }
 }

@@ -63,12 +63,15 @@ class Backend {
                          std::size_t i0, std::size_t i1, std::size_t k,
                          std::size_t n) const = 0;
 
-  /// im2col rows [r0, r1) of the (channels*kh*kw) x (oh*ow) column matrix.
-  /// Pure data movement — every backend must match scalar bit for bit.
+  /// im2col rows [r0, r1) of the (channels*kh*kw) x (oh*ow) column matrix,
+  /// whose rows start `ld` >= oh*ow floats apart (so a batch of images can
+  /// lower side by side into one wide matrix). Pure data movement — every
+  /// backend must match scalar bit for bit.
   virtual void im2col(const float* image, std::size_t height, std::size_t width,
                       std::size_t kh, std::size_t kw, std::size_t stride,
                       std::size_t pad, std::size_t oh, std::size_t ow,
-                      std::size_t r0, std::size_t r1, float* columns) const = 0;
+                      std::size_t r0, std::size_t r1, float* columns,
+                      std::size_t ld) const = 0;
 };
 
 /// The bit-exact reference backend (always available).

@@ -30,7 +30,7 @@ class ScalarBackend : public Backend {
   void im2col(const float* image, std::size_t height, std::size_t width,
               std::size_t kh, std::size_t kw, std::size_t stride,
               std::size_t pad, std::size_t oh, std::size_t ow, std::size_t r0,
-              std::size_t r1, float* columns) const override;
+              std::size_t r1, float* columns, std::size_t ld) const override;
 };
 
 /// Cache-tiled loops. Tiling only changes which (i, j) cell is visited
@@ -48,12 +48,13 @@ class BlockedBackend : public Backend {
                  std::size_t n) const override;
   void gemm_a_bt(const float* a, const float* b, float* c, std::size_t i0,
                  std::size_t i1, std::size_t k, std::size_t n) const override;
-  /// Edge-aware: zero borders via memset, stride-1 interiors via memcpy.
-  /// Pure data movement, so still bit-exact.
+  /// Edge-aware: each tap's in-bounds window is computed once per matrix
+  /// row, so only the border positions are zeroed and the interior is a
+  /// straight copy. Pure data movement, so still bit-exact.
   void im2col(const float* image, std::size_t height, std::size_t width,
               std::size_t kh, std::size_t kw, std::size_t stride,
               std::size_t pad, std::size_t oh, std::size_t ow, std::size_t r0,
-              std::size_t r1, float* columns) const override;
+              std::size_t r1, float* columns, std::size_t ld) const override;
 };
 
 /// The AVX2+FMA backend when compiled for x86 with GCC/Clang, else

@@ -126,22 +126,28 @@ std::size_t conv_out_extent(std::size_t in, std::size_t kernel,
   return (in + 2 * pad - kernel) / stride + 1;
 }
 
-void im2col(const float* image, std::size_t channels, std::size_t height,
-            std::size_t width, std::size_t kh, std::size_t kw,
-            std::size_t stride, std::size_t pad, float* columns) {
+void im2col(const float* images, std::size_t batch, std::size_t channels,
+            std::size_t height, std::size_t width, std::size_t kh,
+            std::size_t kw, std::size_t stride, std::size_t pad,
+            float* columns) {
   HSD_SPAN("tensor/im2col");
   const std::size_t oh = conv_out_extent(height, kh, stride, pad);
   const std::size_t ow = conv_out_extent(width, kw, stride, pad);
   const std::size_t out_spatial = oh * ow;
+  const std::size_t ld = batch * out_spatial;
+  const std::size_t image_size = channels * height * width;
   // Each (c, ki, kj) combination fills a disjoint `columns` row. im2col is
   // pure data movement, so every backend must (and does) produce identical
-  // bytes; the fast backends just memset/memcpy whole segments.
+  // bytes; the fast backends just copy whole in-bounds segments.
   const backend::Backend& be = backend::active();
   dispatch_counters(be).im2col->add();
-  runtime::parallel_for(0, channels * kh * kw, row_grain(out_spatial),
+  runtime::parallel_for(0, channels * kh * kw, row_grain(ld),
                         [=, &be](std::size_t r0, std::size_t r1) {
-                          be.im2col(image, height, width, kh, kw, stride, pad,
-                                    oh, ow, r0, r1, columns);
+                          for (std::size_t b = 0; b < batch; ++b) {
+                            be.im2col(images + b * image_size, height, width,
+                                      kh, kw, stride, pad, oh, ow, r0, r1,
+                                      columns + b * out_spatial, ld);
+                          }
                         });
 }
 

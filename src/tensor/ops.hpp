@@ -46,11 +46,14 @@ Tensor matmul(const Tensor& a, const Tensor& b);
 std::size_t conv_out_extent(std::size_t in, std::size_t kernel,
                             std::size_t stride, std::size_t pad);
 
-/// im2col: unpacks one image (C, H, W) into a (C*KH*KW) x (OH*OW) matrix so
-/// convolution becomes a single GEMM. Zero padding.
-void im2col(const float* image, std::size_t channels, std::size_t height,
-            std::size_t width, std::size_t kh, std::size_t kw,
-            std::size_t stride, std::size_t pad, float* columns);
+/// im2col: unpacks `batch` images (N, C, H, W) side by side into one
+/// (C*KH*KW) x (N*OH*OW) matrix — image b fills columns [b*OH*OW,
+/// (b+1)*OH*OW) — so convolving the whole batch is a single GEMM. Zero
+/// padding. batch == 1 is the single-image (C*KH*KW) x (OH*OW) lowering.
+void im2col(const float* images, std::size_t batch, std::size_t channels,
+            std::size_t height, std::size_t width, std::size_t kh,
+            std::size_t kw, std::size_t stride, std::size_t pad,
+            float* columns);
 
 /// col2im: scatters gradient columns back into an image gradient; the
 /// adjoint of im2col. `image_grad` is accumulated into (caller zeroes it).

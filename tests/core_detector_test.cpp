@@ -9,6 +9,7 @@
 namespace hsd::core {
 namespace {
 
+using hsd::tensor::gather_rows;
 using hsd::tensor::Tensor;
 
 DetectorConfig small_config() {
@@ -96,60 +97,38 @@ TEST(DetectorTest, FinetuneImprovesOnNewData) {
   EXPECT_GT(after, 0.85);
 }
 
-TEST(DetectorTest, ChunkedInferenceMatchesWholeBatch) {
-  hsd::stats::Rng rng(7);
-  DetectorConfig cfg = small_config();
-  cfg.inference_chunk = 3;  // force multiple chunks
-  HotspotDetector det(cfg, rng.split());
-  Tensor x;
-  std::vector<int> y;
-  make_data(rng, 10, x, y);
-  const nn::ForwardResult chunked = det.forward(x);
-
-  DetectorConfig big = cfg;
-  big.inference_chunk = 4096;
-  // Same weights: reuse the same detector, just compare against one chunk.
-  const nn::ForwardResult whole = det.forward(x);
-  ASSERT_EQ(chunked.logits.size(), whole.logits.size());
-  for (std::size_t i = 0; i < chunked.logits.size(); ++i) {
-    EXPECT_FLOAT_EQ(chunked.logits[i], whole.logits[i]);
-  }
-  EXPECT_EQ(chunked.features.dim(0), 10u);
-  EXPECT_EQ(chunked.features.dim(1), cfg.hidden);
-}
-
-TEST(DetectorTest, ChunkedForwardBitIdenticalAcrossChunkSizes) {
-  // Two detectors with the same seed have identical weights; forwarding the
-  // same batch through different chunk sizes must produce identical bits —
-  // the serving path relies on this, and the chunking path stages inputs
-  // through a reused scratch tensor that must never leak between calls.
+TEST(DetectorTest, BatchesStraddlingTheConvChunkMatchPerClipBits) {
+  // Every row of a batch forward must carry the bits that clip gets when
+  // scored alone, whether the batch fits one conv chunk, fills it exactly,
+  // or spills into the next — the serving path relies on this, and the
+  // conv scratch reused across calls must never leak between them.
   hsd::stats::Rng data_rng(21);
+  const std::size_t k = nn::Conv2d::kChunk;
   Tensor x;
   std::vector<int> y;
-  make_data(data_rng, 10, x, y);
+  make_data(data_rng, 2 * k + 3, x, y);
+  HotspotDetector det(small_config(), hsd::stats::Rng(5));
 
-  DetectorConfig chunked_cfg = small_config();
-  chunked_cfg.inference_chunk = 3;
-  DetectorConfig whole_cfg = small_config();
-  whole_cfg.inference_chunk = 4096;
-  HotspotDetector chunked_det(chunked_cfg, hsd::stats::Rng(5));
-  HotspotDetector whole_det(whole_cfg, hsd::stats::Rng(5));
+  std::vector<nn::ForwardResult> alone;
+  for (std::size_t i = 0; i < x.dim(0); ++i) alone.push_back(det.forward(gather_rows(x, {i})));
 
-  // Two calls each: the second chunked call reuses the scratch buffer from
-  // the first, which must not perturb results.
-  for (int pass = 0; pass < 2; ++pass) {
-    const nn::ForwardResult a = chunked_det.forward(x);
-    const nn::ForwardResult b = whole_det.forward(x);
-    ASSERT_EQ(a.logits.size(), b.logits.size());
-    ASSERT_EQ(a.features.size(), b.features.size());
-    EXPECT_EQ(std::memcmp(a.logits.data(), b.logits.data(),
-                          a.logits.size() * sizeof(float)),
-              0)
-        << "pass " << pass;
-    EXPECT_EQ(std::memcmp(a.features.data(), b.features.data(),
-                          a.features.size() * sizeof(float)),
-              0)
-        << "pass " << pass;
+  for (const std::size_t n : {k - 1, k, k + 1, 2 * k + 3, std::size_t{1}}) {
+    std::vector<std::size_t> idx(n);
+    for (std::size_t i = 0; i < n; ++i) idx[i] = i;
+    const nn::ForwardResult batch = det.forward(gather_rows(x, idx));
+    ASSERT_EQ(batch.logits.dim(0), n);
+    ASSERT_EQ(batch.features.dim(1), small_config().hidden);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(std::memcmp(batch.logits.data() + 2 * i, alone[i].logits.data(),
+                            2 * sizeof(float)),
+                0)
+          << "batch " << n << " row " << i;
+      EXPECT_EQ(std::memcmp(batch.features.data() + i * small_config().hidden,
+                            alone[i].features.data(),
+                            small_config().hidden * sizeof(float)),
+                0)
+          << "batch " << n << " row " << i;
+    }
   }
 }
 

@@ -75,6 +75,37 @@ TEST(NetworkTest, FeaturesAreFlattenedForConvNets) {
   EXPECT_EQ(r.features.dim(1), 32u);
 }
 
+TEST(NetworkTest, BackwardThrowsAfterInferenceModeForward) {
+  hsd::stats::Rng rng(3);
+  Network net;
+  net.add<Conv2d>(1, 2, 3, rng, 1, 1);
+  net.add<Relu>();
+  net.add<MaxPool2d>(2);
+  net.add<Flatten>();
+  net.add<Dense>(2 * 2 * 2, 2, rng);
+  const Tensor x = Tensor::randn({3, 1, 4, 4}, rng);
+  const Tensor grad({3, 2}, 1.0F);
+
+  EXPECT_THROW(net.backward(grad), std::logic_error);  // no forward yet
+  net.forward(x);
+  EXPECT_NO_THROW(net.backward(grad));
+
+  // Inference mode keeps no backward state: neither the network nor any
+  // layer can differentiate the pass, and the training caches left over
+  // from the last training-mode pass are gone too.
+  net.set_training(false);
+  net.forward(x);
+  EXPECT_THROW(net.backward(grad), std::logic_error);
+  EXPECT_THROW(net.layer(0).backward(Tensor({3, 2, 4, 4})), std::logic_error);
+  EXPECT_THROW(net.layer(4).backward(grad), std::logic_error);
+  EXPECT_THROW(net.layer(1).backward(Tensor({3, 2, 4, 4})), std::invalid_argument);
+  EXPECT_THROW(net.layer(2).backward(Tensor({3, 2, 2, 2})), std::invalid_argument);
+
+  net.set_training(true);
+  net.forward(x);
+  EXPECT_NO_THROW(net.backward(grad));
+}
+
 TEST(NetworkTest, TrainingReducesLoss) {
   hsd::stats::Rng rng(7);
   Network net = make_mlp(rng);

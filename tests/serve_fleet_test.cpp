@@ -144,10 +144,9 @@ TEST_F(FleetMetricsEnv, FullTargetShardShedsWithDistinctStatus) {
 }
 
 TEST(Fleet, GracefulDrainAnswersEverythingAdmitted) {
-  // Threaded collectors with a long batching window: shutdown() lands while
-  // requests are still queued on several shards at once.
+  // Threaded collectors: shutdown() lands while requests are still queued
+  // on several shards at once.
   FleetConfig fcfg = base_config(4, /*manual=*/false);
-  fcfg.shard.max_delay_us = 1000000;
   fcfg.shard.max_batch = 4;
   FleetRouter fleet(fcfg, make_detector);
 

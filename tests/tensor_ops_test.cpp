@@ -72,7 +72,7 @@ TEST(Im2colTest, IdentityKernelLayout) {
   // 1 channel, 3x3 image, 2x2 kernel, stride 1, no pad -> 4 columns.
   const std::vector<float> img{1, 2, 3, 4, 5, 6, 7, 8, 9};
   std::vector<float> cols(4 * 4, 0.0F);
-  im2col(img.data(), 1, 3, 3, 2, 2, 1, 0, cols.data());
+  im2col(img.data(), 1, 1, 3, 3, 2, 2, 1, 0, cols.data());
   // Row 0 of the matrix corresponds to kernel offset (0,0): values at the
   // top-left of each patch = [1, 2, 4, 5].
   EXPECT_EQ(cols[0], 1.0F);
@@ -90,11 +90,35 @@ TEST(Im2colTest, ZeroPaddingFillsBorder) {
   const std::vector<float> img{1, 1, 1, 1};
   // 2x2 image, 3x3 kernel, pad 1 -> output 2x2; corner taps hit padding.
   std::vector<float> cols(9 * 4, -1.0F);
-  im2col(img.data(), 1, 2, 2, 3, 3, 1, 1, cols.data());
+  im2col(img.data(), 1, 1, 2, 2, 3, 3, 1, 1, cols.data());
   // Kernel offset (0,0) at output (0,0) reads image position (-1,-1) = 0.
   EXPECT_EQ(cols[0], 0.0F);
   // Kernel offset (1,1) (row 4) at output (0,0) reads (0,0) = 1.
   EXPECT_EQ(cols[4 * 4 + 0], 1.0F);
+}
+
+TEST(Im2colTest, BatchLowersImagesSideBySide) {
+  // A batch lowers into one wide matrix whose column block b is image b's
+  // single-image lowering, so one GEMM convolves the whole batch.
+  hsd::stats::Rng rng(11);
+  const std::size_t n = 3, c = 2, h = 5, w = 4, k = 3, stride = 2, pad = 1;
+  const std::size_t os = conv_out_extent(h, k, stride, pad) *
+                         conv_out_extent(w, k, stride, pad);
+  const std::size_t patch = c * k * k;
+  std::vector<float> x(n * c * h * w);
+  for (auto& v : x) v = static_cast<float>(rng.normal());
+  std::vector<float> batch(patch * n * os, -1.0F);
+  im2col(x.data(), n, c, h, w, k, k, stride, pad, batch.data());
+  for (std::size_t b = 0; b < n; ++b) {
+    std::vector<float> single(patch * os, -2.0F);
+    im2col(x.data() + b * c * h * w, 1, c, h, w, k, k, stride, pad, single.data());
+    for (std::size_t r = 0; r < patch; ++r) {
+      for (std::size_t s = 0; s < os; ++s) {
+        ASSERT_EQ(batch[r * n * os + b * os + s], single[r * os + s])
+            << "image " << b << " row " << r << " col " << s;
+      }
+    }
+  }
 }
 
 TEST(Col2imTest, IsAdjointOfIm2col) {
@@ -109,7 +133,7 @@ TEST(Col2imTest, IsAdjointOfIm2col) {
   for (auto& v : y) v = static_cast<float>(rng.normal());
 
   std::vector<float> cols(patch * oh * ow, 0.0F);
-  im2col(x.data(), c, h, w, kh, kw, stride, pad, cols.data());
+  im2col(x.data(), 1, c, h, w, kh, kw, stride, pad, cols.data());
   double lhs = 0.0;
   for (std::size_t i = 0; i < y.size(); ++i) lhs += static_cast<double>(cols[i]) * y[i];
 

@@ -14,7 +14,7 @@
 //   hsd_cli pm <benchmark|file> [--mode exact|a95|a90|e2]
 //       Run a pattern-matching baseline.
 //   hsd_cli serve <benchmark|file> [--requests N] [--expired N]
-//               [--max-batch K] [--max-delay-us U] [--max-queue Q]
+//               [--max-batch K] [--max-queue Q]
 //               [--cache N] [--shards S] [--train-epochs E]
 //               [--checkpoint-dir DIR] [--transport inproc|uds|tcp]
 //               [--endpoints EP1,EP2,...] [--drain-remote]
@@ -44,7 +44,8 @@
 //       in-process fleet's.
 //
 //   <benchmark> is one of: iccad12 iccad16-1 iccad16-2 iccad16-3 iccad16-4;
-//   anything else is treated as a saved-bundle path.
+//   anything else is treated as a saved-bundle path. An option a command
+//   does not take is an error that names it, never silently ignored.
 
 #include <unistd.h>
 
@@ -56,8 +57,10 @@
 #include <fstream>
 #include <functional>
 #include <future>
+#include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -113,6 +116,39 @@ Args parse_args(int argc, char** argv) {
   return args;
 }
 
+/// The options `cmd` accepts besides the observability taps; nullptr for an
+/// unknown command. `--scale`/`--seed` pick the benchmark wherever one is
+/// resolved by name.
+const std::set<std::string>* command_options(const std::string& cmd) {
+  static const std::map<std::string, std::set<std::string>> options = {
+      {"build", {"out", "scale", "seed"}},
+      {"info", {}},
+      {"run",
+       {"scale", "seed", "strategy", "iterations", "batch", "query", "csv", "rounds",
+        "log-csv", "checkpoint-dir", "resume"}},
+      {"pm", {"scale", "seed", "mode"}},
+      {"serve",
+       {"scale", "seed", "requests", "expired", "max-batch", "max-queue", "cache",
+        "shards", "train-epochs", "checkpoint-dir", "transport", "endpoints",
+        "drain-remote"}},
+      {"shard-server",
+       {"scale", "seed", "listen", "shard-index", "max-inflight", "max-batch",
+        "max-queue", "cache", "train-epochs", "checkpoint-dir"}},
+  };
+  const auto it = options.find(cmd);
+  return it == options.end() ? nullptr : &it->second;
+}
+
+/// The first option of `args` that `accepted` (plus --trace/--metrics)
+/// does not name.
+std::optional<std::string> unknown_option(const Args& args,
+                                          const std::set<std::string>& accepted) {
+  for (const auto& [key, value] : args.options) {
+    if (key != "trace" && key != "metrics" && accepted.count(key) == 0) return key;
+  }
+  return std::nullopt;
+}
+
 int usage() {
   std::fprintf(stderr,
                "usage: hsd_cli <build|info|run|pm|serve|shard-server> <benchmark|file> [options]\n"
@@ -124,7 +160,7 @@ int usage() {
                "        [--resume]              continue from the latest checkpoint\n"
                "  pm    [--mode exact|a95|a90|e2]\n"
                "  serve [--requests N] [--expired N] [--max-batch K]\n"
-               "        [--max-delay-us U] [--max-queue Q] [--cache N]\n"
+               "        [--max-queue Q] [--cache N]\n"
                "        [--shards S] [--train-epochs E] [--seed N]\n"
                "        [--checkpoint-dir DIR]\n"
                "        [--transport inproc|uds|tcp]  serve the fleet over sockets\n"
@@ -381,7 +417,6 @@ serve::ServiceConfig service_config_from_args(const data::Benchmark& bench,
   scfg.feature_grid = bench.spec.feature_grid;
   scfg.feature_keep = bench.spec.feature_keep;
   if (args.get("max-batch")) scfg.max_batch = std::stoul(*args.get("max-batch"));
-  if (args.get("max-delay-us")) scfg.max_delay_us = std::stoull(*args.get("max-delay-us"));
   if (args.get("max-queue")) scfg.max_queue = std::stoul(*args.get("max-queue"));
   if (args.get("cache")) scfg.cache_capacity = std::stoul(*args.get("cache"));
   return scfg;
@@ -642,8 +677,14 @@ int cmd_shard_server(const Args& args) {
 int main(int argc, char** argv) {
   const Args args = parse_args(argc, argv);
   if (args.positional.empty()) return usage();
-  apply_obs_flags(args);
   const std::string& cmd = args.positional[0];
+  const std::set<std::string>* accepted = command_options(cmd);
+  if (accepted == nullptr) return usage();
+  if (const auto bad = unknown_option(args, *accepted)) {
+    std::fprintf(stderr, "hsd_cli %s: unknown option --%s\n", cmd.c_str(), bad->c_str());
+    return 2;
+  }
+  apply_obs_flags(args);
   try {
     if (cmd == "build") return cmd_build(args);
     if (cmd == "info") return cmd_info(args);
