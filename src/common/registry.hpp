@@ -141,10 +141,16 @@ inline constexpr const char kSpanLithoSimulateBatch[] = "litho/simulate_batch"; 
 inline constexpr const char kSpanLithoLabelBatch[] = "litho/label_batch";  // hsd-reg: span
 inline constexpr const char kSpanLithoAerial[] = "litho/aerial";  // hsd-reg: span
 
-// feature extraction and kernels.
+// feature extraction, network layers and kernels.
 inline constexpr const char kSpanDataDctFeatures[] = "data/dct_features";  // hsd-reg: span
 inline constexpr const char kSpanNnConvFwd[] = "nn/conv_fwd";  // hsd-reg: span
 inline constexpr const char kSpanNnConvBwd[] = "nn/conv_bwd";  // hsd-reg: span
+inline constexpr const char kSpanNnDenseFwd[] = "nn/dense_fwd";  // hsd-reg: span
+inline constexpr const char kSpanNnDenseBwd[] = "nn/dense_bwd";  // hsd-reg: span
+inline constexpr const char kSpanNnPoolFwd[] = "nn/pool_fwd";  // hsd-reg: span
+inline constexpr const char kSpanNnPoolBwd[] = "nn/pool_bwd";  // hsd-reg: span
+inline constexpr const char kSpanNnReluBwd[] = "nn/relu_bwd";  // hsd-reg: span
+inline constexpr const char kSpanNnAdamStep[] = "nn/adam_step";  // hsd-reg: span
 inline constexpr const char kSpanTensorDct2dBatch[] = "tensor/dct2d_batch";  // hsd-reg: span
 inline constexpr const char kSpanTensorMatmul[] = "tensor/matmul";  // hsd-reg: span
 inline constexpr const char kSpanTensorMatmulAtB[] = "tensor/matmul_at_b";  // hsd-reg: span

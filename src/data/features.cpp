@@ -52,10 +52,9 @@ tensor::Tensor FeatureExtractor::extract_batch(
   // Rasterize in bounded chunks (rasterization only reads shared tables, so
   // clips fan out across the pool into disjoint mask slots), then push each
   // packed chunk through the batched truncated DCT in one call.
-  constexpr std::size_t kChunk = 4096;
-  std::vector<float> masks(std::min(kChunk, clips.size()) * g * g);
-  for (std::size_t b0 = 0; b0 < clips.size(); b0 += kChunk) {
-    const std::size_t b1 = std::min(clips.size(), b0 + kChunk);
+  std::vector<float> masks(std::min(kRasterChunk, clips.size()) * g * g);
+  for (std::size_t b0 = 0; b0 < clips.size(); b0 += kRasterChunk) {
+    const std::size_t b1 = std::min(clips.size(), b0 + kRasterChunk);
     runtime::parallel_for(b0, b1, 1, [&](std::size_t i0, std::size_t i1) {
       for (std::size_t i = i0; i < i1; ++i) {
         const std::vector<float> m = raster_.rasterize(clips[i]);

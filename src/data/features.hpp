@@ -16,6 +16,12 @@ namespace hsd::data {
 /// Extracts `keep x keep` low-frequency DCT features from clips.
 class FeatureExtractor {
  public:
+  /// Clips rasterized per step of extract_batch(). Bounds its mask buffer
+  /// at kRasterChunk grids however large the batch; the features do not
+  /// depend on it (the batched DCT computes each row the same way at any
+  /// count).
+  static constexpr std::size_t kRasterChunk = 256;
+
   /// `grid`: raster resolution; `keep`: retained low-frequency block side.
   FeatureExtractor(std::size_t grid, std::size_t keep);
 

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "obs/trace.hpp"
+
 namespace hsd::nn {
 
 Tensor Relu::forward(const Tensor& input) {
@@ -15,14 +17,16 @@ void Relu::forward_in_place(Tensor& x) {
   mask_ = Tensor();
   if (training()) {
     mask_ = Tensor(x.shape());
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      if (x[i] > 0.0F) mask_[i] = 1.0F;
-    }
+    // Branch-free, so it vectorizes: 1 where x > 0, else +0.
+    float* mask = mask_.data();
+    const float* v = x.data();
+    for (std::size_t i = 0; i < x.size(); ++i) mask[i] = static_cast<float>(v[i] > 0.0F);
   }
   for (float& v : x.storage()) v = v > 0.0F ? v : 0.0F;
 }
 
 Tensor Relu::backward(const Tensor& grad_output) {
+  HSD_SPAN("nn/relu_bwd");
   if (grad_output.shape() != mask_.shape()) {
     throw std::invalid_argument("Relu::backward: shape mismatch with forward");
   }

@@ -56,16 +56,24 @@ Tensor Conv2d::forward(const Tensor& input) {
   // so this is the per-image convolution bit for bit, on every backend and
   // at any thread count (the kernels partition rows only).
   const std::size_t chunk = std::min(n, kChunk);
-  columns_.resize(patch * chunk * out_spatial);
+  if (training()) {
+    in_shape_ = input.shape();
+    lowered_.resize(patch * n * out_spatial);
+  } else {
+    in_shape_.clear();
+    lowered_ = std::vector<float>();
+    columns_.resize(patch * chunk * out_spatial);
+  }
   product_.resize(out_c_ * chunk * out_spatial);
   for (std::size_t first = 0; first < n; first += chunk) {
     const std::size_t images = std::min(chunk, n - first);
     const std::size_t cols = images * out_spatial;
+    float* columns =
+        training() ? lowered_.data() + patch * first * out_spatial : columns_.data();
     im2col(input.data() + first * image, images, in_c_, h, w, k_, k_, stride_,
-           pad_, columns_.data());
+           pad_, columns);
     // (out_c x patch) * (patch x images*OH*OW)
-    hsd::tensor::matmul(w_.data(), columns_.data(), product_.data(), out_c_,
-                        patch, cols);
+    hsd::tensor::matmul(w_.data(), columns, product_.data(), out_c_, patch, cols);
     // Scatter back to NCHW, adding the bias on the way.
     for (std::size_t img = 0; img < images; ++img) {
       float* dst = out.data() + (first + img) * out_c_ * out_spatial;
@@ -77,22 +85,18 @@ Tensor Conv2d::forward(const Tensor& input) {
       }
     }
   }
-  input_ = training() ? input : Tensor();
   return out;
 }
 
-Tensor Conv2d::backward(const Tensor& grad_output) {
-  HSD_SPAN("nn/conv_bwd");
-  if (input_.rank() != 4) {
+void Conv2d::accumulate_param_grads(const Tensor& grad_output) {
+  if (in_shape_.size() != 4) {
     throw std::logic_error("Conv2d::backward: no training-mode forward to differentiate");
   }
   hsd::tensor::debug_check_finite(grad_output.data(), grad_output.size(),
                                   "Conv2d::backward grad");
-  const std::size_t n = input_.dim(0);
-  const std::size_t h = input_.dim(2);
-  const std::size_t w = input_.dim(3);
-  const std::size_t oh = conv_out_extent(h, k_, stride_, pad_);
-  const std::size_t ow = conv_out_extent(w, k_, stride_, pad_);
+  const std::size_t n = in_shape_[0];
+  const std::size_t oh = conv_out_extent(in_shape_[2], k_, stride_, pad_);
+  const std::size_t ow = conv_out_extent(in_shape_[3], k_, stride_, pad_);
   const std::size_t patch = in_c_ * k_ * k_;
   const std::size_t out_spatial = oh * ow;
   if (grad_output.rank() != 4 || grad_output.dim(0) != n ||
@@ -101,25 +105,27 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
     throw std::invalid_argument("Conv2d::backward: bad grad shape");
   }
 
-  Tensor grad_input(input_.shape());
   // Per-image weight/bias gradients land in private slices and are reduced
   // in image order after the join — the identical add sequence the serial
   // loop performs, so accumulation stays bit-stable across thread counts.
   std::vector<float> w_grad_per_img(n * out_c_ * patch);
   std::vector<float> b_grad_per_img(n * out_c_);
-
+  const std::size_t chunk = std::min(n, kChunk);
   runtime::parallel_for(0, n, 1, [&](std::size_t n0, std::size_t n1) {
-    std::vector<float> columns(patch * out_spatial);
-    std::vector<float> grad_columns(patch * out_spatial);
     for (std::size_t img = n0; img < n1; ++img) {
-      const float* src = input_.data() + img * in_c_ * h * w;
       const float* gout = grad_output.data() + img * out_c_ * out_spatial;
+      // The image's lowering is a column block of its chunk's matrix, whose
+      // rows are `ld` floats apart: the same bytes im2col gives the image
+      // alone, so dW gets the same bits as from a fresh lowering.
+      const std::size_t first = img / chunk * chunk;
+      const std::size_t ld = std::min(chunk, n - first) * out_spatial;
+      const float* columns =
+          lowered_.data() + patch * first * out_spatial + (img - first) * out_spatial;
 
       // dW_img = dY * columns^T : (out_c x out_spatial) * (out_spatial x patch)
-      im2col(src, 1, in_c_, h, w, k_, k_, stride_, pad_, columns.data());
-      hsd::tensor::matmul_a_bt(gout, columns.data(),
+      hsd::tensor::matmul_a_bt(gout, columns,
                                w_grad_per_img.data() + img * out_c_ * patch,
-                               out_c_, out_spatial, patch);
+                               out_c_, out_spatial, patch, ld);
 
       // db_img = spatial sums of dY
       for (std::size_t oc = 0; oc < out_c_; ++oc) {
@@ -128,12 +134,6 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
         for (std::size_t i = 0; i < out_spatial; ++i) s += plane[i];
         b_grad_per_img[img * out_c_ + oc] = s;
       }
-
-      // dColumns = W^T * dY : (patch x out_c) * (out_c x out_spatial)
-      hsd::tensor::matmul_at_b(w_.data(), gout, grad_columns.data(), patch, out_c_,
-                               out_spatial);
-      float* gin = grad_input.data() + img * in_c_ * h * w;
-      col2im(grad_columns.data(), in_c_, h, w, k_, k_, stride_, pad_, gin);
     }
   });
 
@@ -142,6 +142,48 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
     for (std::size_t i = 0; i < out_c_ * patch; ++i) w_grad_[i] += wg[i];
     const float* bg = b_grad_per_img.data() + img * out_c_;
     for (std::size_t oc = 0; oc < out_c_; ++oc) b_grad_[oc] += bg[oc];
+  }
+}
+
+void Conv2d::backward_params(const Tensor& grad_output) {
+  HSD_SPAN("nn/conv_bwd");
+  accumulate_param_grads(grad_output);
+}
+
+Tensor Conv2d::backward(const Tensor& grad_output) {
+  HSD_SPAN("nn/conv_bwd");
+  accumulate_param_grads(grad_output);
+  const std::size_t n = in_shape_[0];
+  const std::size_t h = in_shape_[2];
+  const std::size_t w = in_shape_[3];
+  const std::size_t out_spatial = grad_output.dim(2) * grad_output.dim(3);
+  const std::size_t patch = in_c_ * k_ * k_;
+  const std::size_t image = in_c_ * h * w;
+
+  // dX is lowered per chunk, as the forward is: the chunk's dY gathers into
+  // one (out_c x images*OH*OW) block, one GEMM gives W^T * dY for every
+  // image at once, and one col2im scatters it. Each column of W^T * dY is
+  // independent, and col2im gives every pixel its adds in the same order at
+  // any batch, so each image's dX has the per-image bits.
+  Tensor grad_input(in_shape_);
+  const std::size_t chunk = std::min(n, kChunk);
+  columns_.resize(patch * chunk * out_spatial);
+  product_.resize(out_c_ * chunk * out_spatial);
+  for (std::size_t first = 0; first < n; first += chunk) {
+    const std::size_t images = std::min(chunk, n - first);
+    const std::size_t cols = images * out_spatial;
+    for (std::size_t img = 0; img < images; ++img) {
+      const float* gout = grad_output.data() + (first + img) * out_c_ * out_spatial;
+      for (std::size_t oc = 0; oc < out_c_; ++oc) {
+        std::copy_n(gout + oc * out_spatial, out_spatial,
+                    product_.data() + oc * cols + img * out_spatial);
+      }
+    }
+    // dColumns = W^T * dY : (patch x out_c) * (out_c x images*OH*OW)
+    hsd::tensor::matmul_at_b(w_.data(), product_.data(), columns_.data(), patch,
+                             out_c_, cols);
+    col2im(columns_.data(), images, in_c_, h, w, k_, k_, stride_, pad_,
+           grad_input.data() + first * image);
   }
   return grad_input;
 }

@@ -23,6 +23,7 @@ class Conv2d : public Layer {
 
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
+  void backward_params(const Tensor& grad_output) override;
   std::vector<Param> params() override;
   std::string name() const override { return "Conv2d"; }
 
@@ -36,14 +37,24 @@ class Conv2d : public Layer {
   Tensor& bias() { return b_; }
 
  private:
+  /// Adds the batch's dW and db to the gradients, summed in image order.
+  void accumulate_param_grads(const Tensor& grad_output);
+
   std::size_t in_c_, out_c_, k_, stride_, pad_;
   Tensor w_;       // (out_c, in_c * k * k)
   Tensor b_;       // (out_c)
   Tensor w_grad_;
   Tensor b_grad_;
-  Tensor input_;   // cached NCHW input (training mode only)
-  // forward() scratch for one chunk, reused across calls: the im2col
-  // matrix (in_c*k*k, images*OH*OW) and its GEMM product (out_c, ...).
+  hsd::tensor::Shape in_shape_;  // NCHW input shape (training mode only)
+  // Training mode only: the forward's im2col lowering of the whole batch,
+  // one chunk's (in_c*k*k, images*OH*OW) matrix after another. dW reads
+  // each image's column block from it instead of lowering the image again.
+  // Its size is bounded by the training batch; an inference-mode forward
+  // releases it.
+  std::vector<float> lowered_;
+  // Scratch for one chunk, reused across calls. forward(): the inference
+  // im2col matrix and the GEMM product (out_c, images*OH*OW). backward():
+  // W^T * dY in the first and the chunk's gathered dY in the second.
   std::vector<float> columns_;
   std::vector<float> product_;
 };

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "obs/trace.hpp"
 #include "tensor/ops.hpp"
 
 namespace hsd::nn {
@@ -21,6 +22,7 @@ Dense::Dense(std::size_t in_features, std::size_t out_features, hsd::stats::Rng&
 }
 
 Tensor Dense::forward(const Tensor& input) {
+  HSD_SPAN("nn/dense_fwd");
   if (input.rank() != 2 || input.dim(1) != in_) {
     throw std::invalid_argument("Dense::forward: bad input shape");
   }
@@ -37,6 +39,7 @@ Tensor Dense::forward(const Tensor& input) {
 }
 
 Tensor Dense::backward(const Tensor& grad_output) {
+  HSD_SPAN("nn/dense_bwd");
   if (grad_output.rank() != 2 || grad_output.dim(1) != out_) {
     throw std::invalid_argument("Dense::backward: bad grad shape");
   }

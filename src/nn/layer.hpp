@@ -45,6 +45,11 @@ class Layer {
   /// gradients. Must be preceded by a forward() on the same batch.
   virtual Tensor backward(const Tensor& grad_output) = 0;
 
+  /// backward() for a caller that reads no input gradient, such as the
+  /// network for its first layer: accumulates the parameter gradients only.
+  /// Layers that can skip computing d(loss)/d(input) override it.
+  virtual void backward_params(const Tensor& grad_output) { backward(grad_output); }
+
   /// Trainable parameters (empty for stateless layers).
   virtual std::vector<Param> params() { return {}; }
 

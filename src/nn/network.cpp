@@ -10,8 +10,31 @@ namespace hsd::nn {
 
 using hsd::tensor::gather_rows;
 
+namespace {
+
+/// Copies `part` into rows [r0, r0 + part.dim(0)) of `whole`, which the
+/// first call allocates with `n` rows and `part`'s trailing shape.
+void place_rows(const Tensor& part, std::size_t r0, std::size_t n, Tensor& whole) {
+  if (whole.rank() == 0) {
+    hsd::tensor::Shape shape = part.shape();
+    shape[0] = n;
+    whole = Tensor(std::move(shape));
+  }
+  std::copy(part.storage().begin(), part.storage().end(),
+            whole.data() + r0 * (part.size() / part.dim(0)));
+}
+
+}  // namespace
+
 Tensor Network::forward(const Tensor& input) {
+  if (in_row_blocks(input)) return forward_with_features(input).logits;
   return forward_layers(input, layers_.size());
+}
+
+bool Network::in_row_blocks(const Tensor& input) const {
+  return input.rank() > 0 && input.dim(0) > kRowBlock &&
+         std::none_of(layers_.begin(), layers_.end(),
+                      [](const auto& layer) { return layer->training(); });
 }
 
 Tensor Network::forward_layers(const Tensor& input, std::size_t count) {
@@ -26,8 +49,7 @@ Tensor Network::forward_layers(const Tensor& input, std::size_t count) {
   return x;
 }
 
-ForwardResult Network::forward_with_features(const Tensor& input) {
-  if (layers_.empty()) throw std::logic_error("Network::forward_with_features: empty net");
+ForwardResult Network::forward_pass(const Tensor& input) {
   ForwardResult out;
   Tensor x = forward_layers(input, layers_.size() - 1);
   out.logits = layers_.back()->forward(x);
@@ -37,16 +59,34 @@ ForwardResult Network::forward_with_features(const Tensor& input) {
   return out;
 }
 
-Tensor Network::backward(const Tensor& grad_logits) {
+ForwardResult Network::forward_with_features(const Tensor& input) {
+  if (layers_.empty()) throw std::logic_error("Network::forward_with_features: empty net");
+  if (!in_row_blocks(input)) return forward_pass(input);
+  const std::size_t n = input.dim(0);
+  const std::size_t row = input.size() / n;
+  hsd::tensor::Shape block_shape = input.shape();
+  ForwardResult out;
+  for (std::size_t r0 = 0; r0 < n; r0 += kRowBlock) {
+    const std::size_t rows = std::min(kRowBlock, n - r0);
+    block_shape[0] = rows;
+    const Tensor block(block_shape, std::vector<float>(input.data() + r0 * row,
+                                                       input.data() + (r0 + rows) * row));
+    const ForwardResult part = forward_pass(block);
+    place_rows(part.logits, r0, n, out.logits);
+    place_rows(part.features, r0, n, out.features);
+  }
+  return out;
+}
+
+void Network::backward(const Tensor& grad_logits) {
   if (!backward_ready_) {
     throw std::logic_error(
         "Network::backward: no training-mode forward to differentiate");
   }
+  if (layers_.empty()) return;
   Tensor g = grad_logits;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    g = (*it)->backward(g);
-  }
-  return g;
+  for (std::size_t i = layers_.size() - 1; i > 0; --i) g = layers_[i]->backward(g);
+  layers_[0]->backward_params(g);
 }
 
 std::vector<Param> Network::params() {

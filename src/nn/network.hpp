@@ -48,6 +48,14 @@ class Network {
   std::size_t num_layers() const { return layers_.size(); }
   Layer& layer(std::size_t i) { return *layers_.at(i); }
 
+  /// Rows per pass of the inference-mode layer chain. A larger batch runs
+  /// through every layer kRowBlock rows at a time, so its activations are
+  /// bounded by the block, not by the batch; every layer computes a row the
+  /// same way whatever rows share its call, so the result does not depend
+  /// on it. Training-mode passes keep the whole batch for backward() and
+  /// run in one pass.
+  static constexpr std::size_t kRowBlock = 256;
+
   /// Forward pass producing logits. Reads `input` in place. In inference
   /// mode (set_training(false)) no layer keeps backward state, so the pass
   /// holds only the activations in flight; the logits are bit-identical to
@@ -59,8 +67,10 @@ class Network {
   ForwardResult forward_with_features(const Tensor& input);
 
   /// Backward pass from d(loss)/d(logits); accumulates parameter grads.
-  /// Throws std::logic_error unless the last forward ran in training mode.
-  Tensor backward(const Tensor& grad_logits);
+  /// Nothing reads the gradient of the network's input, so the first layer
+  /// computes none (Layer::backward_params). Throws std::logic_error unless
+  /// the last forward ran in training mode.
+  void backward(const Tensor& grad_logits);
 
   /// All trainable parameters across layers.
   std::vector<Param> params();
@@ -101,8 +111,15 @@ class Network {
   void load(std::istream& is, Optimizer* opt = nullptr);
 
  private:
-  /// Runs the first `count` layers over `input`.
+  /// Runs the first `count` layers over `input` in one pass.
   Tensor forward_layers(const Tensor& input, std::size_t count);
+
+  /// forward_with_features in one pass over the whole batch.
+  ForwardResult forward_pass(const Tensor& input);
+
+  /// True when `input` runs through the layers in blocks of kRowBlock rows:
+  /// an inference-mode pass over more rows than that.
+  bool in_row_blocks(const Tensor& input) const;
 
   std::vector<std::unique_ptr<Layer>> layers_;
   /// True when the last forward ran every layer in training mode, i.e. the

@@ -5,6 +5,7 @@
 
 #include "common/binio.hpp"
 #include "common/check.hpp"
+#include "obs/trace.hpp"
 
 namespace hsd::nn {
 
@@ -156,6 +157,7 @@ Adam::Adam(double lr, double beta1, double beta2, double eps, double weight_deca
 }
 
 void Adam::step(const std::vector<Param>& params) {
+  HSD_SPAN("nn/adam_step");
   step_count_++;
   const double bc1 = 1.0 - std::pow(beta1_, step_count_);
   const double bc2 = 1.0 - std::pow(beta2_, step_count_);

@@ -3,6 +3,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "obs/trace.hpp"
 #include "tensor/ops.hpp"
 
 namespace hsd::nn {
@@ -13,6 +14,7 @@ MaxPool2d::MaxPool2d(std::size_t window, std::size_t stride)
 }
 
 Tensor MaxPool2d::forward(const Tensor& input) {
+  HSD_SPAN("nn/pool_fwd");
   if (input.rank() != 4) throw std::invalid_argument("MaxPool2d::forward: expected NCHW");
   const std::size_t n = input.dim(0), c = input.dim(1), h = input.dim(2),
                     w = input.dim(3);
@@ -55,6 +57,7 @@ Tensor MaxPool2d::forward(const Tensor& input) {
 }
 
 Tensor MaxPool2d::backward(const Tensor& grad_output) {
+  HSD_SPAN("nn/pool_bwd");
   if (grad_output.size() != argmax_.size()) {
     throw std::invalid_argument("MaxPool2d::backward: shape mismatch with forward");
   }

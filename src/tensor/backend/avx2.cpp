@@ -20,7 +20,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #endif
 
 namespace hsd::tensor::backend {
@@ -132,8 +131,8 @@ HSD_AVX2_TARGET void gemm_avx2(const float* a, const float* b, float* c,
       const float* arow1 = arow0 + k;
       float* crow0 = c + i * n;
       float* crow1 = crow0 + n;
-      std::memset(crow0 + j, 0, (n - j) * sizeof(float));
-      std::memset(crow1 + j, 0, (n - j) * sizeof(float));
+      zero_floats(crow0 + j, n - j);
+      zero_floats(crow1 + j, n - j);
       for (std::size_t p = 0; p < k; ++p) {
         axpy_row(arow0[p], b + p * n + j, crow0 + j, n - j);
         axpy_row(arow1[p], b + p * n + j, crow1 + j, n - j);
@@ -147,7 +146,7 @@ HSD_AVX2_TARGET void gemm_avx2(const float* a, const float* b, float* c,
   for (std::size_t i = pairs_end; i < i1; ++i) {
     const float* arow = a + i * k;
     float* crow = c + i * n;
-    std::memset(crow, 0, n * sizeof(float));
+    zero_floats(crow, n);
     for (std::size_t p = 0; p < k; ++p) {
       axpy_row(arow[p], b + p * n, crow, n);
     }
@@ -161,7 +160,7 @@ HSD_AVX2_TARGET void gemm_at_b_avx2(const float* a, const float* b, float* c,
                                     std::size_t n) {
   for (std::size_t i = i0; i < i1; ++i) {
     float* crow = c + i * n;
-    std::memset(crow, 0, n * sizeof(float));
+    zero_floats(crow, n);
     const float* acol = a + i;
     for (std::size_t p = 0; p < k; ++p) {
       const float api = acol[p * m];
@@ -171,23 +170,64 @@ HSD_AVX2_TARGET void gemm_at_b_avx2(const float* a, const float* b, float* c,
   }
 }
 
-/// C = A * B^T rows [i0, i1): 8-lane dot products with a horizontal sum,
-/// scalar FMA tail for k % 8.
+/// C = A * B^T rows [i0, i1), B rows `ldb` floats apart. Each c[i][j] is
+/// one 8-lane FMA chain over ascending p, the fixed-order hsum8, then a
+/// scalar FMA tail for k % 8. Four rows of A share every load of a B row:
+/// the tile decides which dot products run side by side, never the
+/// arithmetic of any one of them, so a row gets the same bits inside a tile
+/// or in the row tail, at any row partition and thread count.
 HSD_AVX2_TARGET void gemm_a_bt_avx2(const float* a, const float* b, float* c,
                                     std::size_t i0, std::size_t i1,
-                                    std::size_t k, std::size_t n) {
-  for (std::size_t i = i0; i < i1; ++i) {
+                                    std::size_t k, std::size_t n,
+                                    std::size_t ldb) {
+  const std::size_t k8 = k / 8 * 8;
+  std::size_t i = i0;
+  for (; i + 4 <= i1; i += 4) {
+    const float* a0 = a + i * k;
+    const float* a1 = a0 + k;
+    const float* a2 = a1 + k;
+    const float* a3 = a2 + k;
+    float* c0 = c + i * n;
+    for (std::size_t j = 0; j < n; ++j) {
+      const float* brow = b + j * ldb;
+      __m256 acc0 = _mm256_setzero_ps();
+      __m256 acc1 = _mm256_setzero_ps();
+      __m256 acc2 = _mm256_setzero_ps();
+      __m256 acc3 = _mm256_setzero_ps();
+      for (std::size_t p = 0; p < k8; p += 8) {
+        const __m256 vb = _mm256_loadu_ps(brow + p);
+        acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a0 + p), vb, acc0);
+        acc1 = _mm256_fmadd_ps(_mm256_loadu_ps(a1 + p), vb, acc1);
+        acc2 = _mm256_fmadd_ps(_mm256_loadu_ps(a2 + p), vb, acc2);
+        acc3 = _mm256_fmadd_ps(_mm256_loadu_ps(a3 + p), vb, acc3);
+      }
+      float s0 = hsum8(acc0);
+      float s1 = hsum8(acc1);
+      float s2 = hsum8(acc2);
+      float s3 = hsum8(acc3);
+      for (std::size_t p = k8; p < k; ++p) {
+        s0 = std::fmaf(a0[p], brow[p], s0);
+        s1 = std::fmaf(a1[p], brow[p], s1);
+        s2 = std::fmaf(a2[p], brow[p], s2);
+        s3 = std::fmaf(a3[p], brow[p], s3);
+      }
+      c0[j] = s0;
+      c0[n + j] = s1;
+      c0[2 * n + j] = s2;
+      c0[3 * n + j] = s3;
+    }
+  }
+  for (; i < i1; ++i) {
     const float* arow = a + i * k;
     for (std::size_t j = 0; j < n; ++j) {
-      const float* brow = b + j * k;
+      const float* brow = b + j * ldb;
       __m256 acc = _mm256_setzero_ps();
-      std::size_t p = 0;
-      for (; p + 8 <= k; p += 8) {
+      for (std::size_t p = 0; p < k8; p += 8) {
         acc = _mm256_fmadd_ps(_mm256_loadu_ps(arow + p),
                               _mm256_loadu_ps(brow + p), acc);
       }
       float s = hsum8(acc);
-      for (; p < k; ++p) s = std::fmaf(arow[p], brow[p], s);
+      for (std::size_t p = k8; p < k; ++p) s = std::fmaf(arow[p], brow[p], s);
       c[i * n + j] = s;
     }
   }
@@ -210,8 +250,9 @@ class Avx2Backend final : public BlockedBackend {
     gemm_at_b_avx2(a, b, c, m, i0, i1, k, n);
   }
   void gemm_a_bt(const float* a, const float* b, float* c, std::size_t i0,
-                 std::size_t i1, std::size_t k, std::size_t n) const override {
-    gemm_a_bt_avx2(a, b, c, i0, i1, k, n);
+                 std::size_t i1, std::size_t k, std::size_t n,
+                 std::size_t ldb) const override {
+    gemm_a_bt_avx2(a, b, c, i0, i1, k, n, ldb);
   }
   // im2col: inherited from BlockedBackend — pure data movement gains
   // nothing from intrinsics and stays bit-exact.

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <cstring>
 #include <stdexcept>
-#include <utility>
 
 #include "common/registry.hpp"
 #include "obs/metrics.hpp"
@@ -24,7 +22,7 @@ void ScalarBackend::gemm(const float* a, const float* b, float* c,
   // over p in ascending order. Skipping aip == 0 performs no FP op, which
   // is bit-identical to adding the +/-0 product (the accumulator starts at
   // +0 and +0 + (+/-0) == +0).
-  std::memset(c + i0 * n, 0, (i1 - i0) * n * sizeof(float));
+  zero_floats(c + i0 * n, (i1 - i0) * n);
   for (std::size_t i = i0; i < i1; ++i) {
     for (std::size_t p = 0; p < k; ++p) {
       const float aip = a[i * k + p];
@@ -40,7 +38,7 @@ void ScalarBackend::gemm_at_b(const float* a, const float* b, float* c,
                               std::size_t m, std::size_t i0, std::size_t i1,
                               std::size_t k, std::size_t n) const {
   // p outer so each c[i][j] sees the same ascending-p accumulation as gemm.
-  std::memset(c + i0 * n, 0, (i1 - i0) * n * sizeof(float));
+  zero_floats(c + i0 * n, (i1 - i0) * n);
   for (std::size_t p = 0; p < k; ++p) {
     const float* arow = a + p * m;
     const float* brow = b + p * n;
@@ -55,11 +53,11 @@ void ScalarBackend::gemm_at_b(const float* a, const float* b, float* c,
 
 void ScalarBackend::gemm_a_bt(const float* a, const float* b, float* c,
                               std::size_t i0, std::size_t i1, std::size_t k,
-                              std::size_t n) const {
+                              std::size_t n, std::size_t ldb) const {
   for (std::size_t i = i0; i < i1; ++i) {
     const float* arow = a + i * k;
     for (std::size_t j = 0; j < n; ++j) {
-      const float* brow = b + j * k;
+      const float* brow = b + j * ldb;
       float s = 0.0F;
       for (std::size_t p = 0; p < k; ++p) s += arow[p] * brow[p];
       c[i * n + j] = s;
@@ -112,7 +110,7 @@ constexpr std::size_t kTileP = 64;
 void BlockedBackend::gemm(const float* a, const float* b, float* c,
                           std::size_t i0, std::size_t i1, std::size_t k,
                           std::size_t n) const {
-  std::memset(c + i0 * n, 0, (i1 - i0) * n * sizeof(float));
+  zero_floats(c + i0 * n, (i1 - i0) * n);
   for (std::size_t j0 = 0; j0 < n; j0 += kTileJ) {
     const std::size_t j1 = std::min(n, j0 + kTileJ);
     for (std::size_t p0 = 0; p0 < k; p0 += kTileP) {
@@ -134,7 +132,7 @@ void BlockedBackend::gemm(const float* a, const float* b, float* c,
 void BlockedBackend::gemm_at_b(const float* a, const float* b, float* c,
                                std::size_t m, std::size_t i0, std::size_t i1,
                                std::size_t k, std::size_t n) const {
-  std::memset(c + i0 * n, 0, (i1 - i0) * n * sizeof(float));
+  zero_floats(c + i0 * n, (i1 - i0) * n);
   for (std::size_t j0 = 0; j0 < n; j0 += kTileJ) {
     const std::size_t j1 = std::min(n, j0 + kTileJ);
     for (std::size_t p0 = 0; p0 < k; p0 += kTileP) {
@@ -155,7 +153,7 @@ void BlockedBackend::gemm_at_b(const float* a, const float* b, float* c,
 
 void BlockedBackend::gemm_a_bt(const float* a, const float* b, float* c,
                                std::size_t i0, std::size_t i1, std::size_t k,
-                               std::size_t n) const {
+                               std::size_t n, std::size_t ldb) const {
   // j-tiled so a tile of B rows stays hot across all the i rows; each dot
   // product still runs ascending-p into a single accumulator.
   for (std::size_t j0 = 0; j0 < n; j0 += kTileJ) {
@@ -163,7 +161,7 @@ void BlockedBackend::gemm_a_bt(const float* a, const float* b, float* c,
     for (std::size_t i = i0; i < i1; ++i) {
       const float* arow = a + i * k;
       for (std::size_t j = j0; j < j1; ++j) {
-        const float* brow = b + j * k;
+        const float* brow = b + j * ldb;
         float s = 0.0F;
         for (std::size_t p = 0; p < k; ++p) s += arow[p] * brow[p];
         c[i * n + j] = s;
@@ -171,21 +169,6 @@ void BlockedBackend::gemm_a_bt(const float* a, const float* b, float* c,
     }
   }
 }
-
-namespace {
-
-/// Output positions o in [lo, hi) whose input tap o*stride + offset - pad
-/// lies inside [0, extent); every other position reads zero padding.
-std::pair<std::size_t, std::size_t> tap_range(std::size_t offset, std::size_t pad,
-                                              std::size_t stride, std::size_t extent,
-                                              std::size_t out) {
-  const std::size_t lo = pad > offset ? (pad - offset + stride - 1) / stride : 0;
-  std::size_t hi = 0;
-  if (extent + pad > offset) hi = std::min(out, (extent + pad - offset - 1) / stride + 1);
-  return {std::min(lo, hi), hi};
-}
-
-}  // namespace
 
 void BlockedBackend::im2col(const float* image, std::size_t height,
                             std::size_t width, std::size_t kh, std::size_t kw,

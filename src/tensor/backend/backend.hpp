@@ -58,10 +58,12 @@ class Backend {
                          std::size_t m, std::size_t i0, std::size_t i1,
                          std::size_t k, std::size_t n) const = 0;
 
-  /// C = A * B^T; A is (m x k), B is (n x k). Rows [i0, i1) of C.
+  /// C = A * B^T; A is (m x k), B is (n x k) with rows `ldb` >= k floats
+  /// apart (so B can be a column block of a wider matrix, such as one
+  /// image of a batch lowered side by side). Rows [i0, i1) of C.
   virtual void gemm_a_bt(const float* a, const float* b, float* c,
                          std::size_t i0, std::size_t i1, std::size_t k,
-                         std::size_t n) const = 0;
+                         std::size_t n, std::size_t ldb) const = 0;
 
   /// im2col rows [r0, r1) of the (channels*kh*kw) x (oh*ow) column matrix,
   /// whose rows start `ld` >= oh*ow floats apart (so a batch of images can

@@ -3,6 +3,10 @@
 // differential tests include this; library code dispatches through
 // backend::active() and never names a concrete backend.
 
+#include <algorithm>
+#include <cstring>
+#include <utility>
+
 #include "tensor/backend/backend.hpp"
 
 namespace hsd::tensor::backend {
@@ -15,6 +19,27 @@ inline constexpr std::size_t kBackendSlots = 3;
 /// avx2=2. Exposed so dispatch-site metric caches can be arrays.
 std::size_t ordinal_of(const Backend& b);
 
+/// Zeroes `count` floats at `p`. An empty range touches nothing, so an
+/// empty output, which may have no storage at all, is never handed to
+/// memset (a null pointer is undefined there even for zero bytes).
+inline void zero_floats(float* p, std::size_t count) {
+  if (count > 0) std::memset(p, 0, count * sizeof(float));
+}
+
+/// Output positions o in [lo, hi) whose input tap o*stride + offset - pad
+/// lies inside [0, extent); every other position reads zero padding. One
+/// kernel tap's in-bounds window, shared by im2col and col2im.
+inline std::pair<std::size_t, std::size_t> tap_range(std::size_t offset,
+                                                     std::size_t pad,
+                                                     std::size_t stride,
+                                                     std::size_t extent,
+                                                     std::size_t out) {
+  const std::size_t lo = pad > offset ? (pad - offset + stride - 1) / stride : 0;
+  std::size_t hi = 0;
+  if (extent + pad > offset) hi = std::min(out, (extent + pad - offset - 1) / stride + 1);
+  return {std::min(lo, hi), hi};
+}
+
 /// The verbatim loops PR 1 parallelized — the bit-exact reference.
 class ScalarBackend : public Backend {
  public:
@@ -26,7 +51,8 @@ class ScalarBackend : public Backend {
                  std::size_t i0, std::size_t i1, std::size_t k,
                  std::size_t n) const override;
   void gemm_a_bt(const float* a, const float* b, float* c, std::size_t i0,
-                 std::size_t i1, std::size_t k, std::size_t n) const override;
+                 std::size_t i1, std::size_t k, std::size_t n,
+                 std::size_t ldb) const override;
   void im2col(const float* image, std::size_t height, std::size_t width,
               std::size_t kh, std::size_t kw, std::size_t stride,
               std::size_t pad, std::size_t oh, std::size_t ow, std::size_t r0,
@@ -47,7 +73,8 @@ class BlockedBackend : public Backend {
                  std::size_t i0, std::size_t i1, std::size_t k,
                  std::size_t n) const override;
   void gemm_a_bt(const float* a, const float* b, float* c, std::size_t i0,
-                 std::size_t i1, std::size_t k, std::size_t n) const override;
+                 std::size_t i1, std::size_t k, std::size_t n,
+                 std::size_t ldb) const override;
   /// Edge-aware: each tap's in-bounds window is computed once per matrix
   /// row, so only the border positions are zeroed and the interior is a
   /// straight copy. Pure data movement, so still bit-exact.

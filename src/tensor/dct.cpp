@@ -179,7 +179,7 @@ void Dct2d::lowfreq_batch(const float* blocks, std::size_t count,
         }
       }
       float* const o = out + cc0 * keep * keep;
-      be.gemm_a_bt(tmps, basis_.data(), o, 0, nblk * keep, g, keep);
+      be.gemm_a_bt(tmps, basis_.data(), o, 0, nblk * keep, g, keep, g);
       if (magnitude) {
         const std::size_t total = nblk * keep * keep;
         for (std::size_t i = 0; i < total; ++i) o[i] = std::abs(o[i]) * scale;

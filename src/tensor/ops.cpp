@@ -91,11 +91,12 @@ void matmul_at_b(const float* a, const float* b, float* c, std::size_t m,
 }
 
 void matmul_a_bt(const float* a, const float* b, float* c, std::size_t m,
-                 std::size_t k, std::size_t n) {
+                 std::size_t k, std::size_t n, std::size_t ldb) {
   HSD_SPAN("tensor/matmul_a_bt");
   HSD_DCHECK(a != nullptr && b != nullptr && c != nullptr, "matmul_a_bt: null operand");
+  HSD_DCHECK(ldb >= k, "matmul_a_bt: ldb < k");
   debug_check_finite(a, m * k, "matmul_a_bt: A");
-  debug_check_finite(b, n * k, "matmul_a_bt: B");
+  for (std::size_t j = 0; j < n; ++j) debug_check_finite(b + j * ldb, k, "matmul_a_bt: B");
   // hsd-lint: allow(no-mutable-static) — magic-static metric handle
   static obs::Counter& calls = obs::counter("tensor/matmul_calls");
   calls.add();
@@ -103,7 +104,7 @@ void matmul_a_bt(const float* a, const float* b, float* c, std::size_t m,
   dispatch_counters(be).gemm_a_bt->add();
   runtime::parallel_for(0, m, row_grain(k * n),
                         [=, &be](std::size_t i0, std::size_t i1) {
-                          be.gemm_a_bt(a, b, c, i0, i1, k, n);
+                          be.gemm_a_bt(a, b, c, i0, i1, k, n, ldb);
                         });
 }
 
@@ -151,39 +152,46 @@ void im2col(const float* images, std::size_t batch, std::size_t channels,
                         });
 }
 
-void col2im(const float* columns, std::size_t channels, std::size_t height,
-            std::size_t width, std::size_t kh, std::size_t kw,
-            std::size_t stride, std::size_t pad, float* image_grad) {
+void col2im(const float* columns, std::size_t batch, std::size_t channels,
+            std::size_t height, std::size_t width, std::size_t kh,
+            std::size_t kw, std::size_t stride, std::size_t pad,
+            float* image_grad) {
   HSD_SPAN("tensor/col2im");
   const std::size_t oh = conv_out_extent(height, kh, stride, pad);
   const std::size_t ow = conv_out_extent(width, kw, stride, pad);
   const std::size_t out_spatial = oh * ow;
-  // Kernel offsets of one channel scatter-add into overlapping pixels, so
-  // only the channel dimension can go wide (disjoint image planes).
-  runtime::parallel_for(0, channels, 1, [=](std::size_t c0, std::size_t c1) {
-    for (std::size_t c = c0; c < c1; ++c) {
-      for (std::size_t ki = 0; ki < kh; ++ki) {
-        for (std::size_t kj = 0; kj < kw; ++kj) {
-          const std::size_t row = (c * kh + ki) * kw + kj;
-          const float* src = columns + row * out_spatial;
-          for (std::size_t oi = 0; oi < oh; ++oi) {
-            const std::ptrdiff_t ii =
-                static_cast<std::ptrdiff_t>(oi * stride + ki) -
-                static_cast<std::ptrdiff_t>(pad);
-            if (ii < 0 || ii >= static_cast<std::ptrdiff_t>(height)) continue;
-            for (std::size_t oj = 0; oj < ow; ++oj) {
-              const std::ptrdiff_t jj =
-                  static_cast<std::ptrdiff_t>(oj * stride + kj) -
-                  static_cast<std::ptrdiff_t>(pad);
-              if (jj < 0 || jj >= static_cast<std::ptrdiff_t>(width)) continue;
-              image_grad[(c * height + static_cast<std::size_t>(ii)) * width +
-                         static_cast<std::size_t>(jj)] += src[oi * ow + oj];
+  const std::size_t ld = batch * out_spatial;
+  const std::size_t plane_size = height * width;
+  // The kernel taps of one channel scatter-add into overlapping pixels, so
+  // the work goes wide over (image, channel) planes, which are disjoint.
+  // Within a plane the taps run in ascending (ki, kj) order, and each tap
+  // adds at most once to a pixel, so every pixel receives its adds in the
+  // order the single-image loop gave them. Each tap walks only its
+  // in-bounds window, worked out once, as the edge-aware im2col does.
+  runtime::parallel_for(
+      0, batch * channels, row_grain(kh * kw * out_spatial),
+      [=](std::size_t p0, std::size_t p1) {
+        for (std::size_t plane = p0; plane < p1; ++plane) {
+          const std::size_t b = plane / channels;
+          const std::size_t c = plane % channels;
+          float* dst = image_grad + plane * plane_size;
+          for (std::size_t ki = 0; ki < kh; ++ki) {
+            const auto [oi_lo, oi_hi] = backend::tap_range(ki, pad, stride, height, oh);
+            for (std::size_t kj = 0; kj < kw; ++kj) {
+              const auto [oj_lo, oj_hi] = backend::tap_range(kj, pad, stride, width, ow);
+              if (oj_lo == oj_hi) continue;
+              const float* src =
+                  columns + ((c * kh + ki) * kw + kj) * ld + b * out_spatial;
+              for (std::size_t oi = oi_lo; oi < oi_hi; ++oi) {
+                const float* s = src + oi * ow + oj_lo;
+                float* d = dst + (oi * stride + ki - pad) * width +
+                           (oj_lo * stride + kj - pad);
+                for (std::size_t oj = oj_lo; oj < oj_hi; ++oj, d += stride) *d += *s++;
+              }
             }
           }
         }
-      }
-    }
-  });
+      });
 }
 
 std::vector<double> softmax(const std::vector<double>& logits, double temperature) {

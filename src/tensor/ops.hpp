@@ -34,9 +34,16 @@ void matmul(const float* a, const float* b, float* c, std::size_t m,
 void matmul_at_b(const float* a, const float* b, float* c, std::size_t m,
                  std::size_t k, std::size_t n);
 
-/// C = A * B^T; A is (m x k), B is (n x k), C is (m x n).
+/// C = A * B^T; A is (m x k), B is (n x k) with rows `ldb` >= k floats
+/// apart, C is (m x n).
 void matmul_a_bt(const float* a, const float* b, float* c, std::size_t m,
-                 std::size_t k, std::size_t n);
+                 std::size_t k, std::size_t n, std::size_t ldb);
+
+/// matmul_a_bt on a packed B (ldb == k).
+inline void matmul_a_bt(const float* a, const float* b, float* c, std::size_t m,
+                        std::size_t k, std::size_t n) {
+  matmul_a_bt(a, b, c, m, k, n, k);
+}
 
 /// Rank-2 convenience overload: returns A(m x k) * B(k x n).
 Tensor matmul(const Tensor& a, const Tensor& b);
@@ -55,11 +62,15 @@ void im2col(const float* images, std::size_t batch, std::size_t channels,
             std::size_t kw, std::size_t stride, std::size_t pad,
             float* columns);
 
-/// col2im: scatters gradient columns back into an image gradient; the
-/// adjoint of im2col. `image_grad` is accumulated into (caller zeroes it).
-void col2im(const float* columns, std::size_t channels, std::size_t height,
-            std::size_t width, std::size_t kh, std::size_t kw,
-            std::size_t stride, std::size_t pad, float* image_grad);
+/// col2im: the adjoint of im2col. Scatters a (C*KH*KW) x (N*OH*OW) column
+/// matrix, laid out as im2col lays out `batch` images, back into the N
+/// image gradients (N, C, H, W). `image_grad` is accumulated into (caller
+/// zeroes it). Every pixel receives its adds in kernel-tap order, so an
+/// image's gradient has the same bits at any batch.
+void col2im(const float* columns, std::size_t batch, std::size_t channels,
+            std::size_t height, std::size_t width, std::size_t kh,
+            std::size_t kw, std::size_t stride, std::size_t pad,
+            float* image_grad);
 
 /// Numerically stable softmax over the last dimension of a rank-2 tensor of
 /// logits (rows = samples). Optional temperature divides logits first

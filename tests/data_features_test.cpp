@@ -83,20 +83,24 @@ std::vector<layout::Clip> generated_clips(std::size_t count) {
 }
 
 TEST(FeatureTest, BatchMatchesSingleBitwiseOnScalar) {
-  const auto clips = generated_clips(5);
   const FeatureExtractor fx(32, 8);
   // The batched DCT reproduces the per-clip accumulation order exactly, so
-  // on the bit-exact reference backend the rows must be byte-identical.
+  // on the bit-exact reference backend the rows must be byte-identical,
+  // also past the first rasterization chunk.
   const hsd::testing::BackendGuard guard("scalar");
-  const tensor::Tensor batch = fx.extract_batch(clips);
-  EXPECT_EQ(batch.shape(), (tensor::Shape{5, 1, 8, 8}));
-  for (std::size_t i = 0; i < clips.size(); ++i) {
-    const auto single = fx.extract(clips[i]);
-    const std::vector<float> row(batch.data() + i * 64,
-                                 batch.data() + (i + 1) * 64);
-    EXPECT_TRUE(hsd::testing::compare_buffers(
-        single, row, hsd::testing::Tolerance{},
-        "extract_batch backend=scalar clip=" + std::to_string(i)));
+  for (const std::size_t count : {std::size_t{5}, FeatureExtractor::kRasterChunk + 1}) {
+    const auto clips = generated_clips(count);
+    const tensor::Tensor batch = fx.extract_batch(clips);
+    EXPECT_EQ(batch.shape(), (tensor::Shape{count, 1, 8, 8}));
+    for (std::size_t i = 0; i < clips.size(); ++i) {
+      const auto single = fx.extract(clips[i]);
+      const std::vector<float> row(batch.data() + i * 64,
+                                   batch.data() + (i + 1) * 64);
+      EXPECT_TRUE(hsd::testing::compare_buffers(
+          single, row, hsd::testing::Tolerance{},
+          "extract_batch backend=scalar count=" + std::to_string(count) +
+              " clip=" + std::to_string(i)));
+    }
   }
 }
 

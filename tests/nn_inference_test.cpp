@@ -5,7 +5,7 @@
 // network computed it before chunking: one im2col and one GEMM per image,
 // then the bias added in place. Logits and features must match it exactly
 // on every backend, at 1 and 4 threads, and at batch sizes that straddle
-// Conv2d::kChunk.
+// Conv2d::kChunk and the network's inference row block (Network::kRowBlock).
 
 #include <gtest/gtest.h>
 
@@ -127,7 +127,9 @@ std::string context(std::string_view backend, std::size_t threads, std::size_t n
 
 TEST(InferenceForward, BitIdenticalToPerImageForwardOnEveryBackend) {
   const std::set<std::size_t> sizes = {1,  2,  3,  16, 17, Conv2d::kChunk - 1,
-                                       Conv2d::kChunk, Conv2d::kChunk + 1, 4097};
+                                       Conv2d::kChunk, Conv2d::kChunk + 1,
+                                       Network::kRowBlock - 1, Network::kRowBlock + 1,
+                                       4097};
   // Ascending, then descending: every call reuses the conv scratch the
   // previous, differently sized call left behind.
   std::vector<std::size_t> order(sizes.begin(), sizes.end());

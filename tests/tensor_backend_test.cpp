@@ -9,7 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -96,8 +99,8 @@ void run_gemm_family_case(const Backend& fast, const GemmShape& s,
       expected, got, tolerance_for(fast.name(), false, s.k),
       case_context("gemm_at_b", fast.name(), s.str(), kBaseSeed, stream)));
 
-  ref.gemm_a_bt(a.data(), bt.data(), expected.data(), 0, s.m, s.k, s.n);
-  fast.gemm_a_bt(a.data(), bt.data(), got.data(), 0, s.m, s.k, s.n);
+  ref.gemm_a_bt(a.data(), bt.data(), expected.data(), 0, s.m, s.k, s.n, s.k);
+  fast.gemm_a_bt(a.data(), bt.data(), got.data(), 0, s.m, s.k, s.n, s.k);
   EXPECT_TRUE(compare_buffers(
       expected, got, tolerance_for(fast.name(), true, s.k),
       case_context("gemm_a_bt", fast.name(), s.str(), kBaseSeed, stream)));
@@ -153,9 +156,80 @@ TEST(TensorBackend, DegenerateKZeroProducesZeros) {
       EXPECT_EQ(v, 0.0F) << "gemm_at_b k=0 backend=" << be->name();
     }
     std::fill(c.begin(), c.end(), 42.0F);
-    be->gemm_a_bt(nullptr, nullptr, c.data(), 0, 6, 0, 5);
+    be->gemm_a_bt(nullptr, nullptr, c.data(), 0, 6, 0, 5, 0);
     for (float v : c) {
       EXPECT_EQ(v, 0.0F) << "gemm_a_bt k=0 backend=" << be->name();
+    }
+  }
+}
+
+TEST(TensorBackend, GemmABtReadsStridedBRows) {
+  // B as a column block of a wider matrix (ldb > k), the way a batch of
+  // images lowers side by side: the same bits as from the packed copy on
+  // every backend, and the padding between rows (NaN here) is never read.
+  for (const GemmShape& s : {GemmShape{1, 9, 5}, GemmShape{7, 64, 9},
+                             GemmShape{16, 65, 72}, GemmShape{5, 0, 3}}) {
+    const std::size_t ldb = s.k + 5;
+    const std::vector<float> a = random_buffer(s.m * s.k, kBaseSeed, 600);
+    const std::vector<float> b = random_buffer(s.n * s.k, kBaseSeed, 601);
+    std::vector<float> wide(s.n * ldb, std::numeric_limits<float>::quiet_NaN());
+    for (std::size_t j = 0; j < s.n; ++j) {
+      std::copy_n(b.data() + j * s.k, s.k, wide.data() + j * ldb);
+    }
+    for (const Backend* be : available_backends()) {
+      std::vector<float> packed(s.m * s.n);
+      std::vector<float> strided(s.m * s.n);
+      be->gemm_a_bt(a.data(), b.data(), packed.data(), 0, s.m, s.k, s.n, s.k);
+      be->gemm_a_bt(a.data(), wide.data(), strided.data(), 0, s.m, s.k, s.n, ldb);
+      EXPECT_TRUE(compare_buffers(
+          packed, strided, Tolerance{},
+          case_context("gemm_a_bt ldb=" + std::to_string(ldb), be->name(), s.str(),
+                       kBaseSeed, 600)));
+    }
+  }
+}
+
+/// One avx2 dot product written out lane by lane: eight FMA chains over
+/// ascending p, the fixed pairing of the horizontal sum, then the scalar
+/// FMA tail for k % 8.
+float avx2_dot(const float* a, const float* b, std::size_t k) {
+  float lane[8] = {};
+  const std::size_t k8 = k / 8 * 8;
+  for (std::size_t p = 0; p < k8; p += 8) {
+    for (std::size_t l = 0; l < 8; ++l) lane[l] = std::fmaf(a[p + l], b[p + l], lane[l]);
+  }
+  const float s0 = lane[0] + lane[4];
+  const float s1 = lane[1] + lane[5];
+  const float s2 = lane[2] + lane[6];
+  const float s3 = lane[3] + lane[7];
+  float s = (s0 + s2) + (s1 + s3);
+  for (std::size_t p = k8; p < k; ++p) s = std::fmaf(a[p], b[p], s);
+  return s;
+}
+
+TEST(TensorBackend, Avx2GemmABtMatchesOneDotAtATime) {
+  // The 4-row tile shares B loads between rows; it must not change any
+  // row's arithmetic, whether the row lands in a tile or in the row tail.
+  const Backend* avx2 = find_backend("avx2");
+  if (avx2 == nullptr) GTEST_SKIP() << "avx2 backend not available on this CPU";
+  const std::size_t n = 5;
+  for (std::size_t m = 1; m <= 9; ++m) {
+    for (const std::size_t k : {0, 7, 8, 9, 64, 65}) {
+      const std::size_t ldb = k + 3;
+      const std::vector<float> a = random_buffer(m * k, kBaseSeed, 700 + m);
+      const std::vector<float> b = random_buffer(n * ldb, kBaseSeed, 800 + k);
+      std::vector<float> expected(m * n);
+      for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+          expected[i * n + j] = avx2_dot(a.data() + i * k, b.data() + j * ldb, k);
+        }
+      }
+      std::vector<float> got(m * n);
+      avx2->gemm_a_bt(a.data(), b.data(), got.data(), 0, m, k, n, ldb);
+      const GemmShape s{m, k, n};
+      EXPECT_TRUE(compare_buffers(expected, got, Tolerance{},
+                                  case_context("gemm_a_bt tile", "avx2", s.str(),
+                                               kBaseSeed, 700 + m)));
     }
   }
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 namespace hsd::tensor {
 namespace {
@@ -122,27 +123,30 @@ TEST(Im2colTest, BatchLowersImagesSideBySide) {
 }
 
 TEST(Col2imTest, IsAdjointOfIm2col) {
-  // <im2col(x), y> == <x, col2im(y)> for random x, y.
+  // <im2col(x), y> == <x, col2im(y)> for random x, y, one image and a
+  // batch lowered side by side, at strides 1 and 2.
   hsd::stats::Rng rng(5);
-  const std::size_t c = 2, h = 5, w = 4, kh = 3, kw = 2, stride = 1, pad = 1;
-  const std::size_t oh = conv_out_extent(h, kh, stride, pad);
-  const std::size_t ow = conv_out_extent(w, kw, stride, pad);
+  const std::size_t c = 2, h = 5, w = 4, kh = 3, kw = 2, pad = 1;
   const std::size_t patch = c * kh * kw;
-  std::vector<float> x(c * h * w), y(patch * oh * ow);
-  for (auto& v : x) v = static_cast<float>(rng.normal());
-  for (auto& v : y) v = static_cast<float>(rng.normal());
+  for (const auto& [n, stride] : {std::pair<std::size_t, std::size_t>{1, 1}, {3, 1}, {3, 2}}) {
+    const std::size_t oh = conv_out_extent(h, kh, stride, pad);
+    const std::size_t ow = conv_out_extent(w, kw, stride, pad);
+    std::vector<float> x(n * c * h * w), y(patch * n * oh * ow);
+    for (auto& v : x) v = static_cast<float>(rng.normal());
+    for (auto& v : y) v = static_cast<float>(rng.normal());
 
-  std::vector<float> cols(patch * oh * ow, 0.0F);
-  im2col(x.data(), 1, c, h, w, kh, kw, stride, pad, cols.data());
-  double lhs = 0.0;
-  for (std::size_t i = 0; i < y.size(); ++i) lhs += static_cast<double>(cols[i]) * y[i];
+    std::vector<float> cols(patch * n * oh * ow, 0.0F);
+    im2col(x.data(), n, c, h, w, kh, kw, stride, pad, cols.data());
+    double lhs = 0.0;
+    for (std::size_t i = 0; i < y.size(); ++i) lhs += static_cast<double>(cols[i]) * y[i];
 
-  std::vector<float> xg(c * h * w, 0.0F);
-  col2im(y.data(), c, h, w, kh, kw, stride, pad, xg.data());
-  double rhs = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) rhs += static_cast<double>(x[i]) * xg[i];
+    std::vector<float> xg(n * c * h * w, 0.0F);
+    col2im(y.data(), n, c, h, w, kh, kw, stride, pad, xg.data());
+    double rhs = 0.0;
+    for (std::size_t i = 0; i < x.size(); ++i) rhs += static_cast<double>(x[i]) * xg[i];
 
-  EXPECT_NEAR(lhs, rhs, 1e-3);
+    EXPECT_NEAR(lhs, rhs, 1e-3) << "batch " << n << " stride " << stride;
+  }
 }
 
 TEST(SoftmaxTest, SumsToOneAndOrders) {
