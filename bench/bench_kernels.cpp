@@ -116,12 +116,14 @@ std::vector<Case> dispatched_cases(std::uint64_t seed) {
     cases.push_back({"conv_forward", 0.0, [conv, x] { conv->forward(*x); }});
   }
 
-  {  // Detector CNN forward: batch of 512 DCT feature maps.
+  {  // Detector CNN forward: batch of 512 DCT feature maps at the 16x16
+     // side every served and active-learning detector runs.
     Rng rng(seed + 3);
     hsd::core::DetectorConfig cfg;
+    cfg.input_side = 16;
     auto det = std::make_shared<hsd::core::HotspotDetector>(cfg, rng.split());
     auto x = std::make_shared<Tensor>(
-        Tensor::rand_uniform({512, 1, 8, 8}, rng, 0.0F, 1.0F));
+        Tensor::rand_uniform({512, 1, cfg.input_side, cfg.input_side}, rng, 0.0F, 1.0F));
     cases.push_back({"cnn_forward_512", 0.0, [det, x] { det->forward(*x); }});
   }
 

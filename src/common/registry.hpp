@@ -64,7 +64,6 @@ inline constexpr const char kMetTensorBackendSelected[] = "tensor/backend/%/sele
 inline constexpr const char kMetTensorGemm[] = "tensor/%/gemm";  // hsd-reg: metric
 inline constexpr const char kMetTensorGemmAtB[] = "tensor/%/gemm_at_b";  // hsd-reg: metric
 inline constexpr const char kMetTensorGemmABt[] = "tensor/%/gemm_a_bt";  // hsd-reg: metric
-inline constexpr const char kMetTensorIm2col[] = "tensor/%/im2col";  // hsd-reg: metric
 
 // checkpointing.
 inline constexpr const char kMetCkptWrites[] = "ckpt/writes";  // hsd-reg: metric

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "obs/trace.hpp"
-#include "runtime/thread_pool.hpp"
 #include "tensor/ops.hpp"
 
 namespace hsd::nn {
@@ -105,43 +104,33 @@ void Conv2d::accumulate_param_grads(const Tensor& grad_output) {
     throw std::invalid_argument("Conv2d::backward: bad grad shape");
   }
 
-  // Per-image weight/bias gradients land in private slices and are reduced
-  // in image order after the join — the identical add sequence the serial
-  // loop performs, so accumulation stays bit-stable across thread counts.
-  std::vector<float> w_grad_per_img(n * out_c_ * patch);
-  std::vector<float> b_grad_per_img(n * out_c_);
+  // One image at a time, in image order: its dW lands in one scratch and is
+  // added to the gradient, then its db sums, so every gradient element
+  // receives its per-image adds in image order.
+  std::vector<float> w_grad_img(out_c_ * patch);
   const std::size_t chunk = std::min(n, kChunk);
-  runtime::parallel_for(0, n, 1, [&](std::size_t n0, std::size_t n1) {
-    for (std::size_t img = n0; img < n1; ++img) {
-      const float* gout = grad_output.data() + img * out_c_ * out_spatial;
-      // The image's lowering is a column block of its chunk's matrix, whose
-      // rows are `ld` floats apart: the same bytes im2col gives the image
-      // alone, so dW gets the same bits as from a fresh lowering.
-      const std::size_t first = img / chunk * chunk;
-      const std::size_t ld = std::min(chunk, n - first) * out_spatial;
-      const float* columns =
-          lowered_.data() + patch * first * out_spatial + (img - first) * out_spatial;
-
-      // dW_img = dY * columns^T : (out_c x out_spatial) * (out_spatial x patch)
-      hsd::tensor::matmul_a_bt(gout, columns,
-                               w_grad_per_img.data() + img * out_c_ * patch,
-                               out_c_, out_spatial, patch, ld);
-
-      // db_img = spatial sums of dY
-      for (std::size_t oc = 0; oc < out_c_; ++oc) {
-        const float* plane = gout + oc * out_spatial;
-        float s = 0.0F;
-        for (std::size_t i = 0; i < out_spatial; ++i) s += plane[i];
-        b_grad_per_img[img * out_c_ + oc] = s;
-      }
-    }
-  });
-
   for (std::size_t img = 0; img < n; ++img) {
-    const float* wg = w_grad_per_img.data() + img * out_c_ * patch;
-    for (std::size_t i = 0; i < out_c_ * patch; ++i) w_grad_[i] += wg[i];
-    const float* bg = b_grad_per_img.data() + img * out_c_;
-    for (std::size_t oc = 0; oc < out_c_; ++oc) b_grad_[oc] += bg[oc];
+    const float* gout = grad_output.data() + img * out_c_ * out_spatial;
+    // The image's lowering is a column block of its chunk's matrix, whose
+    // rows are `ld` floats apart: the same bytes im2col gives the image
+    // alone, so dW gets the same bits as from a fresh lowering.
+    const std::size_t first = img / chunk * chunk;
+    const std::size_t ld = std::min(chunk, n - first) * out_spatial;
+    const float* columns =
+        lowered_.data() + patch * first * out_spatial + (img - first) * out_spatial;
+
+    // dW_img = dY * columns^T : (out_c x out_spatial) * (out_spatial x patch)
+    hsd::tensor::matmul_a_bt(gout, columns, w_grad_img.data(), out_c_, out_spatial,
+                             patch, ld);
+    for (std::size_t i = 0; i < out_c_ * patch; ++i) w_grad_[i] += w_grad_img[i];
+
+    // db_img = spatial sums of dY
+    for (std::size_t oc = 0; oc < out_c_; ++oc) {
+      const float* plane = gout + oc * out_spatial;
+      float s = 0.0F;
+      for (std::size_t i = 0; i < out_spatial; ++i) s += plane[i];
+      b_grad_[oc] += s;
+    }
   }
 }
 

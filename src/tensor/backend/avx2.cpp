@@ -233,7 +233,7 @@ HSD_AVX2_TARGET void gemm_a_bt_avx2(const float* a, const float* b, float* c,
   }
 }
 
-class Avx2Backend final : public BlockedBackend {
+class Avx2Backend final : public Backend {
  public:
   std::string_view name() const override { return "avx2"; }
   bool supported() const override {
@@ -254,8 +254,6 @@ class Avx2Backend final : public BlockedBackend {
                  std::size_t ldb) const override {
     gemm_a_bt_avx2(a, b, c, i0, i1, k, n, ldb);
   }
-  // im2col: inherited from BlockedBackend — pure data movement gains
-  // nothing from intrinsics and stays bit-exact.
 };
 
 }  // namespace

@@ -1,6 +1,5 @@
 #include "tensor/backend/backend.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <stdexcept>
@@ -65,149 +64,6 @@ void ScalarBackend::gemm_a_bt(const float* a, const float* b, float* c,
   }
 }
 
-void ScalarBackend::im2col(const float* image, std::size_t height,
-                           std::size_t width, std::size_t kh, std::size_t kw,
-                           std::size_t stride, std::size_t pad, std::size_t oh,
-                           std::size_t ow, std::size_t r0, std::size_t r1,
-                           float* columns, std::size_t ld) const {
-  for (std::size_t row = r0; row < r1; ++row) {
-    const std::size_t c = row / (kh * kw);
-    const std::size_t ki = (row / kw) % kh;
-    const std::size_t kj = row % kw;
-    float* dst = columns + row * ld;
-    for (std::size_t oi = 0; oi < oh; ++oi) {
-      const std::ptrdiff_t ii = static_cast<std::ptrdiff_t>(oi * stride + ki) -
-                                static_cast<std::ptrdiff_t>(pad);
-      for (std::size_t oj = 0; oj < ow; ++oj) {
-        const std::ptrdiff_t jj =
-            static_cast<std::ptrdiff_t>(oj * stride + kj) -
-            static_cast<std::ptrdiff_t>(pad);
-        float v = 0.0F;
-        if (ii >= 0 && ii < static_cast<std::ptrdiff_t>(height) && jj >= 0 &&
-            jj < static_cast<std::ptrdiff_t>(width)) {
-          v = image[(c * height + static_cast<std::size_t>(ii)) * width +
-                    static_cast<std::size_t>(jj)];
-        }
-        dst[oi * ow + oj] = v;
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Blocked (cache-tiled) — bit-exact with scalar by construction
-// ---------------------------------------------------------------------------
-
-namespace {
-
-// L1-sized tiles: a 64x64 float B tile is 16 KiB, and the 64-float C row
-// segment stays resident across the whole p tile.
-constexpr std::size_t kTileJ = 64;
-constexpr std::size_t kTileP = 64;
-
-}  // namespace
-
-void BlockedBackend::gemm(const float* a, const float* b, float* c,
-                          std::size_t i0, std::size_t i1, std::size_t k,
-                          std::size_t n) const {
-  zero_floats(c + i0 * n, (i1 - i0) * n);
-  for (std::size_t j0 = 0; j0 < n; j0 += kTileJ) {
-    const std::size_t j1 = std::min(n, j0 + kTileJ);
-    for (std::size_t p0 = 0; p0 < k; p0 += kTileP) {
-      const std::size_t p1 = std::min(k, p0 + kTileP);
-      for (std::size_t i = i0; i < i1; ++i) {
-        const float* arow = a + i * k;
-        float* crow = c + i * n;
-        for (std::size_t p = p0; p < p1; ++p) {
-          const float aip = arow[p];
-          if (aip == 0.0F) continue;
-          const float* brow = b + p * n;
-          for (std::size_t j = j0; j < j1; ++j) crow[j] += aip * brow[j];
-        }
-      }
-    }
-  }
-}
-
-void BlockedBackend::gemm_at_b(const float* a, const float* b, float* c,
-                               std::size_t m, std::size_t i0, std::size_t i1,
-                               std::size_t k, std::size_t n) const {
-  zero_floats(c + i0 * n, (i1 - i0) * n);
-  for (std::size_t j0 = 0; j0 < n; j0 += kTileJ) {
-    const std::size_t j1 = std::min(n, j0 + kTileJ);
-    for (std::size_t p0 = 0; p0 < k; p0 += kTileP) {
-      const std::size_t p1 = std::min(k, p0 + kTileP);
-      for (std::size_t p = p0; p < p1; ++p) {
-        const float* arow = a + p * m;
-        const float* brow = b + p * n;
-        for (std::size_t i = i0; i < i1; ++i) {
-          const float api = arow[i];
-          if (api == 0.0F) continue;
-          float* crow = c + i * n;
-          for (std::size_t j = j0; j < j1; ++j) crow[j] += api * brow[j];
-        }
-      }
-    }
-  }
-}
-
-void BlockedBackend::gemm_a_bt(const float* a, const float* b, float* c,
-                               std::size_t i0, std::size_t i1, std::size_t k,
-                               std::size_t n, std::size_t ldb) const {
-  // j-tiled so a tile of B rows stays hot across all the i rows; each dot
-  // product still runs ascending-p into a single accumulator.
-  for (std::size_t j0 = 0; j0 < n; j0 += kTileJ) {
-    const std::size_t j1 = std::min(n, j0 + kTileJ);
-    for (std::size_t i = i0; i < i1; ++i) {
-      const float* arow = a + i * k;
-      for (std::size_t j = j0; j < j1; ++j) {
-        const float* brow = b + j * ldb;
-        float s = 0.0F;
-        for (std::size_t p = 0; p < k; ++p) s += arow[p] * brow[p];
-        c[i * n + j] = s;
-      }
-    }
-  }
-}
-
-void BlockedBackend::im2col(const float* image, std::size_t height,
-                            std::size_t width, std::size_t kh, std::size_t kw,
-                            std::size_t stride, std::size_t pad, std::size_t oh,
-                            std::size_t ow, std::size_t r0, std::size_t r1,
-                            float* columns, std::size_t ld) const {
-  for (std::size_t row = r0; row < r1; ++row) {
-    const std::size_t c = row / (kh * kw);
-    const std::size_t ki = (row / kw) % kh;
-    const std::size_t kj = row % kw;
-    float* dst = columns + row * ld;
-    const float* plane = image + c * height * width;
-    // The in-bounds window of a kernel tap is the same rectangle for every
-    // output row, so the bounds are worked out once per matrix row; the
-    // rows above and below it read only padding.
-    const auto [oi_lo, oi_hi] = tap_range(ki, pad, stride, height, oh);
-    const auto [oj_lo, oj_hi] = tap_range(kj, pad, stride, width, ow);
-    std::fill(dst, dst + oi_lo * ow, 0.0F);
-    std::fill(dst + oi_hi * ow, dst + oh * ow, 0.0F);
-    for (std::size_t oi = oi_lo; oi < oi_hi; ++oi) {
-      float* drow = dst + oi * ow;
-      // Plain loops, not memset/memcpy: CNN rows are a few floats long,
-      // where a library call costs more than the copy.
-      std::size_t oj = 0;
-      for (; oj < oj_lo; ++oj) drow[oj] = 0.0F;
-      if (oj_lo < oj_hi) {
-        const float* src = plane + (oi * stride + ki - pad) * width +
-                           (oj_lo * stride + kj - pad);
-        if (stride == 1) {
-          for (; oj < oj_hi; ++oj) drow[oj] = *src++;
-        } else {
-          for (; oj < oj_hi; ++oj, src += stride) drow[oj] = *src;
-        }
-      }
-      for (; oj < ow; ++oj) drow[oj] = 0.0F;
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Registry & selection
 // ---------------------------------------------------------------------------
@@ -219,18 +75,12 @@ const ScalarBackend& scalar_instance() {
   return backend;
 }
 
-const BlockedBackend& blocked_instance() {
-  static const BlockedBackend backend;
-  return backend;
-}
-
 /// Compiled-in backends, fastest first. Entries may be unsupported on the
 /// running CPU; callers filter with supported().
 const std::vector<const Backend*>& compiled_backends() {
   static const std::vector<const Backend*> all = [] {
     std::vector<const Backend*> v;
     if (const Backend* avx2 = avx2_backend_or_null()) v.push_back(avx2);
-    v.push_back(&blocked_instance());
     v.push_back(&scalar_instance());
     return v;
   }();
@@ -249,12 +99,8 @@ const Backend& resolve(std::string_view name) {
   if (name.empty() || name == "auto") return best_backend();
   if (const Backend* b = find_backend(name)) return *b;
   throw std::runtime_error("HSD_BACKEND: unknown or unsupported backend '" +
-                           std::string(name) +
-                           "' (available: scalar, blocked" +
-                           (avx2_backend_or_null() != nullptr &&
-                                    avx2_backend_or_null()->supported()
-                                ? ", avx2)"
-                                : ")"));
+                           std::string(name) + "' (available: scalar" +
+                           (find_backend("avx2") != nullptr ? ", avx2)" : ")"));
 }
 
 /// Records the selection in obs metrics so telemetry and bench JSON can
@@ -268,12 +114,7 @@ std::atomic<const Backend*> g_active{nullptr};
 
 }  // namespace
 
-std::size_t ordinal_of(const Backend& b) {
-  const std::string_view n = b.name();
-  if (n == "blocked") return 1;
-  if (n == "avx2") return 2;
-  return 0;
-}
+std::size_t ordinal_of(const Backend& b) { return b.name() == "avx2" ? 1 : 0; }
 
 const Backend& scalar_backend() { return scalar_instance(); }
 

@@ -1,5 +1,5 @@
 #pragma once
-// Kernel-dispatch layer for the dense hot paths (GEMM family, im2col).
+// Kernel-dispatch layer for the dense hot paths (the GEMM family).
 //
 // A Backend is a set of row-range kernels with one shared contract:
 //
@@ -8,20 +8,22 @@
 //     ranges, so any backend is bit-identical to itself at every
 //     HSD_THREADS — the determinism property PR 1 established for the
 //     scalar path holds for every backend by construction.
-//   * The `scalar` backend is the bit-exact reference; `blocked` tiles the
-//     loops without reordering any per-element accumulation and must match
-//     scalar bit for bit; `avx2` keeps the ascending-p order but fuses
-//     multiply-add (FMA) and vector-reduces dot products, so it agrees
-//     with scalar only within the documented ULP tolerances
-//     (tests/backend_compare.hpp is the gate).
+//   * The `scalar` backend is the bit-exact reference; `avx2` keeps the
+//     ascending-p order but fuses multiply-add (FMA) and vector-reduces dot
+//     products, so it agrees with scalar only within the documented ULP
+//     tolerances (tests/backend_compare.hpp is the gate).
+//
+// im2col and col2im move data without arithmetic, so they are not backend
+// kernels: tensor::im2col / tensor::col2im (ops.hpp) run one body on every
+// backend.
 //
 // Selection order (first hit wins), resolved once on first kernel call:
-//   1. HSD_BACKEND environment variable: scalar | blocked | avx2 | auto.
+//   1. HSD_BACKEND environment variable: scalar | avx2 | auto.
 //      Naming an unavailable backend throws — an explicit request must not
 //      silently degrade.
 //   2. `auto` (also the default when the variable is unset): the fastest
 //      backend the CPU supports — avx2 when compiled in and CPUID reports
-//      AVX2+FMA, else blocked.
+//      AVX2+FMA, else scalar.
 //
 // Tests and benches switch backends with set_active(); the active backend
 // is recorded in obs metrics (gauge `tensor/backend`, counter
@@ -37,13 +39,13 @@
 namespace hsd::tensor::backend {
 
 /// Row-range kernels. `a`, `b`, `c` always point at the full operands; the
-/// [i0, i1) range selects the C rows (or im2col rows) this call produces.
+/// [i0, i1) range selects the C rows this call produces.
 /// Every call fully overwrites the rows it owns.
 class Backend {
  public:
   virtual ~Backend() = default;
 
-  /// Stable lowercase identifier ("scalar", "blocked", "avx2").
+  /// Stable lowercase identifier ("scalar", "avx2").
   virtual std::string_view name() const = 0;
 
   /// True when the current CPU can execute this backend.
@@ -64,16 +66,6 @@ class Backend {
   virtual void gemm_a_bt(const float* a, const float* b, float* c,
                          std::size_t i0, std::size_t i1, std::size_t k,
                          std::size_t n, std::size_t ldb) const = 0;
-
-  /// im2col rows [r0, r1) of the (channels*kh*kw) x (oh*ow) column matrix,
-  /// whose rows start `ld` >= oh*ow floats apart (so a batch of images can
-  /// lower side by side into one wide matrix). Pure data movement — every
-  /// backend must match scalar bit for bit.
-  virtual void im2col(const float* image, std::size_t height, std::size_t width,
-                      std::size_t kh, std::size_t kw, std::size_t stride,
-                      std::size_t pad, std::size_t oh, std::size_t ow,
-                      std::size_t r0, std::size_t r1, float* columns,
-                      std::size_t ld) const = 0;
 };
 
 /// The bit-exact reference backend (always available).
@@ -91,7 +83,7 @@ const Backend& active();
 /// Name of the active backend (resolves it if needed).
 std::string_view active_name();
 
-/// Replaces the active backend ("scalar", "blocked", "avx2", or "auto").
+/// Replaces the active backend ("scalar", "avx2", or "auto").
 /// Test/bench hook; must not race with in-flight kernels (same contract as
 /// runtime::set_global_threads). Throws std::runtime_error when the name is
 /// unknown or the backend is unsupported on this CPU.

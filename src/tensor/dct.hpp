@@ -36,9 +36,8 @@ class Dct2d {
   /// stacked GEMMs through the kernel backend dispatch, partitioned across
   /// the pool by clip row ranges. Per element this is the same kernel and
   /// accumulation order as forward_lowfreq, so results are bit-identical to
-  /// the per-clip path on every backend (scalar, blocked, avx2) at any
-  /// HSD_THREADS; cross-backend comparisons stay under the §13/§15 ULP
-  /// contract.
+  /// the per-clip path on every backend (scalar, avx2) at any HSD_THREADS;
+  /// cross-backend comparisons stay under the §13/§15 ULP contract.
   void forward_lowfreq_batch(const float* blocks, std::size_t count,
                              std::size_t keep, float* out) const;
 

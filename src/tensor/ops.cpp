@@ -6,6 +6,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -32,19 +33,17 @@ struct KernelCounters {
   obs::Counter* gemm;
   obs::Counter* gemm_at_b;
   obs::Counter* gemm_a_bt;
-  obs::Counter* im2col;
 };
 
 const KernelCounters& dispatch_counters(const backend::Backend& be) {
   static const std::array<KernelCounters, backend::kBackendSlots> all = [] {
     std::array<KernelCounters, backend::kBackendSlots> out{};
-    const char* names[backend::kBackendSlots] = {"scalar", "blocked", "avx2"};
+    const char* names[backend::kBackendSlots] = {"scalar", "avx2"};
     for (std::size_t i = 0; i < backend::kBackendSlots; ++i) {
       const std::string prefix = std::string("tensor/") + names[i] + "/";
       out[i] = {&obs::counter(prefix + "gemm"),
                 &obs::counter(prefix + "gemm_at_b"),
-                &obs::counter(prefix + "gemm_a_bt"),
-                &obs::counter(prefix + "im2col")};
+                &obs::counter(prefix + "gemm_a_bt")};
     }
     return out;
   }();
@@ -127,6 +126,62 @@ std::size_t conv_out_extent(std::size_t in, std::size_t kernel,
   return (in + 2 * pad - kernel) / stride + 1;
 }
 
+namespace {
+
+/// Output positions o in [lo, hi) whose input tap o*stride + offset - pad
+/// lies inside [0, extent); every other position reads zero padding. One
+/// kernel tap's in-bounds window, shared by im2col and col2im.
+std::pair<std::size_t, std::size_t> tap_range(std::size_t offset, std::size_t pad,
+                                              std::size_t stride, std::size_t extent,
+                                              std::size_t out) {
+  const std::size_t lo = pad > offset ? (pad - offset + stride - 1) / stride : 0;
+  std::size_t hi = 0;
+  if (extent + pad > offset) hi = std::min(out, (extent + pad - offset - 1) / stride + 1);
+  return {std::min(lo, hi), hi};
+}
+
+/// Rows [r0, r1) of one image's (channels*kh*kw) x (oh*ow) lowering, whose
+/// rows start `ld` >= oh*ow floats apart: only the border positions are
+/// zeroed, and the interior is a straight copy.
+void lower_rows(const float* image, std::size_t height, std::size_t width,
+                std::size_t kh, std::size_t kw, std::size_t stride,
+                std::size_t pad, std::size_t oh, std::size_t ow, std::size_t r0,
+                std::size_t r1, float* columns, std::size_t ld) {
+  for (std::size_t row = r0; row < r1; ++row) {
+    const std::size_t c = row / (kh * kw);
+    const std::size_t ki = (row / kw) % kh;
+    const std::size_t kj = row % kw;
+    float* dst = columns + row * ld;
+    const float* plane = image + c * height * width;
+    // The in-bounds window of a kernel tap is the same rectangle for every
+    // output row, so the bounds are worked out once per matrix row; the
+    // rows above and below it read only padding.
+    const auto [oi_lo, oi_hi] = tap_range(ki, pad, stride, height, oh);
+    const auto [oj_lo, oj_hi] = tap_range(kj, pad, stride, width, ow);
+    std::fill(dst, dst + oi_lo * ow, 0.0F);
+    std::fill(dst + oi_hi * ow, dst + oh * ow, 0.0F);
+    for (std::size_t oi = oi_lo; oi < oi_hi; ++oi) {
+      float* drow = dst + oi * ow;
+      // Plain loops, not memset/memcpy: CNN rows are a few floats long,
+      // where a library call costs more than the copy.
+      std::size_t oj = 0;
+      for (; oj < oj_lo; ++oj) drow[oj] = 0.0F;
+      if (oj_lo < oj_hi) {
+        const float* src = plane + (oi * stride + ki - pad) * width +
+                           (oj_lo * stride + kj - pad);
+        if (stride == 1) {
+          for (; oj < oj_hi; ++oj) drow[oj] = *src++;
+        } else {
+          for (; oj < oj_hi; ++oj, src += stride) drow[oj] = *src;
+        }
+      }
+      for (; oj < ow; ++oj) drow[oj] = 0.0F;
+    }
+  }
+}
+
+}  // namespace
+
 void im2col(const float* images, std::size_t batch, std::size_t channels,
             std::size_t height, std::size_t width, std::size_t kh,
             std::size_t kw, std::size_t stride, std::size_t pad,
@@ -138,16 +193,13 @@ void im2col(const float* images, std::size_t batch, std::size_t channels,
   const std::size_t ld = batch * out_spatial;
   const std::size_t image_size = channels * height * width;
   // Each (c, ki, kj) combination fills a disjoint `columns` row. im2col is
-  // pure data movement, so every backend must (and does) produce identical
-  // bytes; the fast backends just copy whole in-bounds segments.
-  const backend::Backend& be = backend::active();
-  dispatch_counters(be).im2col->add();
+  // pure data movement, so one body serves every backend.
   runtime::parallel_for(0, channels * kh * kw, row_grain(ld),
-                        [=, &be](std::size_t r0, std::size_t r1) {
+                        [=](std::size_t r0, std::size_t r1) {
                           for (std::size_t b = 0; b < batch; ++b) {
-                            be.im2col(images + b * image_size, height, width,
-                                      kh, kw, stride, pad, oh, ow, r0, r1,
-                                      columns + b * out_spatial, ld);
+                            lower_rows(images + b * image_size, height, width,
+                                       kh, kw, stride, pad, oh, ow, r0, r1,
+                                       columns + b * out_spatial, ld);
                           }
                         });
 }
@@ -176,9 +228,9 @@ void col2im(const float* columns, std::size_t batch, std::size_t channels,
           const std::size_t c = plane % channels;
           float* dst = image_grad + plane * plane_size;
           for (std::size_t ki = 0; ki < kh; ++ki) {
-            const auto [oi_lo, oi_hi] = backend::tap_range(ki, pad, stride, height, oh);
+            const auto [oi_lo, oi_hi] = tap_range(ki, pad, stride, height, oh);
             for (std::size_t kj = 0; kj < kw; ++kj) {
-              const auto [oj_lo, oj_hi] = backend::tap_range(kj, pad, stride, width, ow);
+              const auto [oj_lo, oj_hi] = tap_range(kj, pad, stride, width, ow);
               if (oj_lo == oj_hi) continue;
               const float* src =
                   columns + ((c * kh + ki) * kw + kj) * ld + b * out_spatial;

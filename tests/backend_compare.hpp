@@ -5,8 +5,8 @@
 //
 // Tolerance contract (mirrors DESIGN.md §13):
 //   * exact (Tolerance{})            — byte-for-byte equality. Gates the
-//     blocked backend (tiling reorders nothing) and im2col on every
-//     backend (pure data movement).
+//     shared im2col (pure data movement) and every comparison within one
+//     backend (thread counts, row partitions, strided operands).
 //   * Tolerance{max_ulps, abs_floor} — an element passes when the ULP
 //     distance is within max_ulps OR |a - b| <= abs_floor. The floor
 //     absorbs catastrophic cancellation, where a tiny absolute difference

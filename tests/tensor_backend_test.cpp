@@ -1,10 +1,10 @@
 // Property/differential suite for the kernel backends: every registered
-// backend must agree with the scalar reference on randomized GEMM, conv
-// (im2col) and DCT shapes — exactly where the backend reorders nothing
-// (blocked, im2col everywhere), within documented ULP tolerances where it
-// fuses or vector-reduces (avx2). Shapes deliberately include degenerate
-// k=0, 1xN, and odd tails that straddle the 8-lane SIMD width and the
-// 64-wide blocked tile. Failure messages carry derive_seed arguments for
+// backend must agree with the scalar reference on randomized GEMM and DCT
+// shapes, within documented ULP tolerances where it fuses or
+// vector-reduces (avx2). Shapes deliberately include degenerate k=0, 1xN,
+// and odd tails that straddle the 8-lane SIMD width and the 16-float
+// register tile. The one im2col every backend shares must match a naive
+// lowering byte for byte. Failure messages carry derive_seed arguments for
 // standalone replay.
 
 #include <gtest/gtest.h>
@@ -19,7 +19,6 @@
 #include "backend_compare.hpp"
 #include "runtime/thread_pool.hpp"
 #include "tensor/backend/backend.hpp"
-#include "tensor/backend/impl.hpp"
 #include "tensor/dct.hpp"
 #include "tensor/ops.hpp"
 
@@ -44,8 +43,8 @@ struct GemmShape {
 };
 
 /// Shapes straddling every boundary the backends care about: the 8-float
-/// AVX lane, the 16-float register tile, the 64-wide blocked tile, odd
-/// remainders of each, plus degenerate k=0 / 1xN / Nx1.
+/// AVX lane, the 16-float register tile, 64-float rows, odd remainders of
+/// each, plus degenerate k=0 / 1xN / Nx1.
 const std::vector<GemmShape>& gemm_shapes() {
   static const std::vector<GemmShape> shapes = {
       {1, 1, 1},    {1, 7, 1},     {1, 0, 5},    {3, 0, 0},
@@ -56,13 +55,10 @@ const std::vector<GemmShape>& gemm_shapes() {
   return shapes;
 }
 
-/// Per-kernel tolerance for a fast backend. Blocked reorders nothing and
-/// must match bit-for-bit; avx2 fuses multiply-adds (gemm family) and
-/// vector-reduces dot products (gemm_a_bt), so it gets ULP headroom plus
-/// an absolute floor that grows with the reduction length k.
-Tolerance tolerance_for(std::string_view backend_name, bool reduction,
-                        std::size_t k) {
-  if (backend_name == "blocked") return Tolerance{};  // exact
+/// Per-kernel tolerance for a fast backend. avx2 fuses multiply-adds (gemm
+/// family) and vector-reduces dot products (gemm_a_bt), so it gets ULP
+/// headroom plus an absolute floor that grows with the reduction length k.
+Tolerance tolerance_for(bool reduction, std::size_t k) {
   const auto kf = static_cast<float>(k);
   if (reduction) {
     // Lane-wise reduction reorders the whole sum.
@@ -90,19 +86,19 @@ void run_gemm_family_case(const Backend& fast, const GemmShape& s,
   ref.gemm(a.data(), b.data(), expected.data(), 0, s.m, s.k, s.n);
   fast.gemm(a.data(), b.data(), got.data(), 0, s.m, s.k, s.n);
   EXPECT_TRUE(compare_buffers(
-      expected, got, tolerance_for(fast.name(), false, s.k),
+      expected, got, tolerance_for(false, s.k),
       case_context("gemm", fast.name(), s.str(), kBaseSeed, stream)));
 
   ref.gemm_at_b(at.data(), b.data(), expected.data(), s.m, 0, s.m, s.k, s.n);
   fast.gemm_at_b(at.data(), b.data(), got.data(), s.m, 0, s.m, s.k, s.n);
   EXPECT_TRUE(compare_buffers(
-      expected, got, tolerance_for(fast.name(), false, s.k),
+      expected, got, tolerance_for(false, s.k),
       case_context("gemm_at_b", fast.name(), s.str(), kBaseSeed, stream)));
 
   ref.gemm_a_bt(a.data(), bt.data(), expected.data(), 0, s.m, s.k, s.n, s.k);
   fast.gemm_a_bt(a.data(), bt.data(), got.data(), 0, s.m, s.k, s.n, s.k);
   EXPECT_TRUE(compare_buffers(
-      expected, got, tolerance_for(fast.name(), true, s.k),
+      expected, got, tolerance_for(true, s.k),
       case_context("gemm_a_bt", fast.name(), s.str(), kBaseSeed, stream)));
 }
 
@@ -115,30 +111,6 @@ TEST(TensorBackend, GemmFamilyMatchesScalarAcrossShapes) {
       run_gemm_family_case(*fast, s, stream);
     }
     stream += 4;
-  }
-}
-
-TEST(TensorBackend, BlockedGemmIsBitExactOnRandomizedShapes) {
-  // Beyond the fixed list: randomized shapes, all gated exact. The blocked
-  // backend only tiles the iteration space; if any accumulation had been
-  // reordered this would fail within a few hundred cases.
-  const Backend& blocked = *find_backend("blocked");
-  const Backend& ref = scalar_backend();
-  stats::Rng shape_rng(runtime::derive_seed(kBaseSeed, 777));
-  for (std::uint64_t c = 0; c < 60; ++c) {
-    const auto m = static_cast<std::size_t>(shape_rng.randint(1, 70));
-    const auto k = static_cast<std::size_t>(shape_rng.randint(0, 140));
-    const auto n = static_cast<std::size_t>(shape_rng.randint(1, 140));
-    const GemmShape s{m, k, n};
-    const std::vector<float> a = random_buffer(m * k, kBaseSeed, 1000 + c);
-    const std::vector<float> b = random_buffer(k * n, kBaseSeed, 2000 + c);
-    std::vector<float> expected(m * n);
-    std::vector<float> got(m * n);
-    ref.gemm(a.data(), b.data(), expected.data(), 0, m, k, n);
-    blocked.gemm(a.data(), b.data(), got.data(), 0, m, k, n);
-    ASSERT_TRUE(compare_buffers(
-        expected, got, Tolerance{},
-        case_context("gemm", "blocked", s.str(), kBaseSeed, 1000 + c)));
   }
 }
 
@@ -271,33 +243,71 @@ struct ConvShape {
   }
 };
 
+/// The naive lowering: every position bounds-checks its input tap. Image b
+/// of the batch fills columns [b*OH*OW, (b+1)*OH*OW) of rows `ld` apart.
+std::vector<float> naive_im2col(const std::vector<float>& images, std::size_t batch,
+                                const ConvShape& s) {
+  const std::size_t oh = conv_out_extent(s.h, s.kh, s.stride, s.pad);
+  const std::size_t ow = conv_out_extent(s.w, s.kw, s.stride, s.pad);
+  const std::size_t ld = batch * oh * ow;
+  std::vector<float> columns(s.c * s.kh * s.kw * ld);
+  for (std::size_t b = 0; b < batch; ++b) {
+    const float* image = images.data() + b * s.c * s.h * s.w;
+    for (std::size_t row = 0; row < s.c * s.kh * s.kw; ++row) {
+      const std::size_t c = row / (s.kh * s.kw);
+      const std::size_t ki = (row / s.kw) % s.kh;
+      const std::size_t kj = row % s.kw;
+      float* dst = columns.data() + row * ld + b * oh * ow;
+      for (std::size_t oi = 0; oi < oh; ++oi) {
+        const std::ptrdiff_t ii = static_cast<std::ptrdiff_t>(oi * s.stride + ki) -
+                                  static_cast<std::ptrdiff_t>(s.pad);
+        for (std::size_t oj = 0; oj < ow; ++oj) {
+          const std::ptrdiff_t jj = static_cast<std::ptrdiff_t>(oj * s.stride + kj) -
+                                    static_cast<std::ptrdiff_t>(s.pad);
+          float v = 0.0F;
+          if (ii >= 0 && ii < static_cast<std::ptrdiff_t>(s.h) && jj >= 0 &&
+              jj < static_cast<std::ptrdiff_t>(s.w)) {
+            v = image[(c * s.h + static_cast<std::size_t>(ii)) * s.w +
+                      static_cast<std::size_t>(jj)];
+          }
+          dst[oi * ow + oj] = v;
+        }
+      }
+    }
+  }
+  return columns;
+}
+
 TEST(TensorBackend, Im2colIsBitExactEverywhere) {
+  // tensor::im2col copies only each tap's in-bounds window; it must give
+  // the naive loop's bytes for one image and for a batch lowered side by
+  // side (rows ld > OH*OW apart), at any thread count.
   const std::vector<ConvShape> shapes = {
       {1, 1, 1, 1, 1, 1, 0},  {1, 8, 8, 3, 3, 1, 1},  {2, 9, 7, 3, 3, 1, 1},
       {3, 16, 16, 5, 5, 1, 2}, {1, 10, 10, 3, 3, 2, 1}, {2, 13, 11, 4, 2, 3, 2},
       {1, 6, 6, 3, 3, 1, 4},   {1, 5, 5, 5, 5, 2, 3},
   };
-  const Backend& ref = scalar_backend();
   std::uint64_t stream = 300;
   for (const ConvShape& s : shapes) {
-    const std::size_t oh = conv_out_extent(s.h, s.kh, s.stride, s.pad);
-    const std::size_t ow = conv_out_extent(s.w, s.kw, s.stride, s.pad);
-    const std::size_t rows = s.c * s.kh * s.kw;
-    const std::vector<float> image =
-        random_buffer(s.c * s.h * s.w, kBaseSeed, stream);
-    std::vector<float> expected(rows * oh * ow);
-    ref.im2col(image.data(), s.h, s.w, s.kh, s.kw, s.stride, s.pad, oh, ow, 0,
-               rows, expected.data(), oh * ow);
-    for (const Backend* be : fast_backends()) {
-      std::vector<float> got(rows * oh * ow, -123.0F);
-      be->im2col(image.data(), s.h, s.w, s.kh, s.kw, s.stride, s.pad, oh, ow,
-                 0, rows, got.data(), oh * ow);
-      EXPECT_TRUE(compare_buffers(
-          expected, got, Tolerance{},
-          case_context("im2col", be->name(), s.str(), kBaseSeed, stream)));
+    for (const std::size_t batch : {std::size_t{1}, std::size_t{3}}) {
+      const std::vector<float> images =
+          random_buffer(batch * s.c * s.h * s.w, kBaseSeed, stream);
+      const std::vector<float> expected = naive_im2col(images, batch, s);
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        runtime::set_global_threads(threads);
+        std::vector<float> got(expected.size(), -123.0F);
+        im2col(images.data(), batch, s.c, s.h, s.w, s.kh, s.kw, s.stride, s.pad,
+               got.data());
+        EXPECT_TRUE(compare_buffers(
+            expected, got, Tolerance{},
+            case_context("im2col batch=" + std::to_string(batch) +
+                             " threads=" + std::to_string(threads),
+                         active_name(), s.str(), kBaseSeed, stream)));
+      }
+      ++stream;
     }
-    ++stream;
   }
+  runtime::set_global_threads(1);
 }
 
 // ---------------------------------------------------------------------------
@@ -318,7 +328,7 @@ TEST(TensorBackend, DctForwardAndInverseWithinTolerance) {
       tensor::backend::set_active(be->name());
       const std::vector<float> fwd = dct.forward(block);
       const std::vector<float> inv = dct.inverse(fwd_ref);
-      const Tolerance tol = tolerance_for(be->name(), true, n);
+      const Tolerance tol = tolerance_for(true, n);
       EXPECT_TRUE(compare_buffers(
           fwd_ref, fwd, tol,
           case_context("dct2d_fwd", be->name(), std::to_string(n), kBaseSeed,
@@ -359,15 +369,28 @@ TEST(TensorBackend, DispatchedMatmulMatchesDirectBackendCall) {
 }
 
 TEST(TensorBackend, SelectionRegistryAndErrors) {
-  // scalar and blocked are always available; the ordering is fastest-first
-  // and scalar is last.
+  // scalar is always available; the ordering is fastest-first and scalar
+  // is last.
   const auto backends = available_backends();
-  ASSERT_GE(backends.size(), 2u);
+  ASSERT_FALSE(backends.empty());
   EXPECT_EQ(backends.back()->name(), "scalar");
   EXPECT_NE(find_backend("scalar"), nullptr);
-  EXPECT_NE(find_backend("blocked"), nullptr);
   EXPECT_EQ(find_backend("neon"), nullptr);
   EXPECT_THROW(set_active("neon"), std::runtime_error);
+
+  // An unknown name such as "blocked" fails, and the error names it and
+  // every backend this CPU can run.
+  EXPECT_EQ(find_backend("blocked"), nullptr);
+  try {
+    set_active("blocked");
+    ADD_FAILURE() << "set_active(\"blocked\") did not throw";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'blocked'"), std::string::npos) << what;
+    for (const Backend* be : backends) {
+      EXPECT_NE(what.find(std::string(be->name())), std::string::npos) << what;
+    }
+  }
 
   // set_active round-trips and "auto" resolves to the fastest available.
   BackendGuard guard("scalar");

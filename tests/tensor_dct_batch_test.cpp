@@ -6,7 +6,7 @@
 //     the SAME backend, element by element, at any thread count — the
 //     batched path replays the same kernels over the same basis rows
 //     (per-element accumulation chains don't depend on the stacked column
-//     count), so the guarantee covers avx2 too, not just scalar/blocked.
+//     count), so the guarantee covers avx2 too, not just scalar.
 //   * cross-backend (batch on avx2 vs the scalar per-clip reference):
 //     ULP/abs-bounded, doubling the single-GEMM gemm_a_bt budget because
 //     two reductions chain.
@@ -67,7 +67,7 @@ std::vector<float> perclip_reference(const Dct2d& dct,
 /// Exact for the bit-exact backends, ULP/abs-bounded for reduced ones.
 hsd::testing::Tolerance tolerance_for(std::string_view backend_name,
                                       std::size_t g) {
-  if (backend_name == "scalar" || backend_name == "blocked") return {};
+  if (backend_name == "scalar") return {};
   // Two chained lane-reduced GEMMs: double the single-kernel gemm_a_bt
   // budget (64 ulps / 1e-6·k) from tensor_backend_test.
   return {128, 1e-5F * static_cast<float>(g)};
@@ -77,12 +77,10 @@ TEST_F(DctBatchTest, MatchesPerClipAcrossBackendsKeepsAndThreads) {
   const std::size_t g = 32;
   const Dct2d dct(g);
   std::uint64_t stream = 0;
-  // Always-available exact backends first; fast_backends() adds avx2 (ULP
-  // gate) when the CPU has it.
-  std::vector<std::string> backends{"scalar", "blocked"};
-  for (const auto* be : hsd::testing::fast_backends()) {
-    if (be->name() != "blocked") backends.emplace_back(be->name());
-  }
+  // The always-available exact backend first; fast_backends() adds avx2
+  // (ULP gate) when the CPU has it.
+  std::vector<std::string> backends{"scalar"};
+  for (const auto* be : hsd::testing::fast_backends()) backends.emplace_back(be->name());
   for (const std::string& backend : backends) {
     const hsd::testing::Tolerance tol = tolerance_for(backend, g);
     for (const std::size_t keep : {std::size_t{1}, g / 2, g}) {
@@ -121,10 +119,8 @@ TEST_F(DctBatchTest, BatchIsBitIdenticalToPerClipOnEveryBackend) {
   const std::size_t count = 70;  // crosses the 64-clip scratch chunk
   const Dct2d dct(g);
   const std::vector<float> blocks = random_blocks(count, g, 99);
-  std::vector<std::string> backends{"scalar", "blocked"};
-  for (const auto* be : hsd::testing::fast_backends()) {
-    if (be->name() != "blocked") backends.emplace_back(be->name());
-  }
+  std::vector<std::string> backends{"scalar"};
+  for (const auto* be : hsd::testing::fast_backends()) backends.emplace_back(be->name());
   for (const std::string& backend : backends) {
     const hsd::testing::BackendGuard guard(backend);
     std::vector<float> ref(count * keep * keep);
@@ -150,10 +146,8 @@ TEST_F(DctBatchTest, ThreadCountNeverChangesBitsPerBackend) {
   const std::size_t count = 600;
   const Dct2d dct(g);
   const std::vector<float> blocks = random_blocks(count, g, 77);
-  std::vector<std::string> backends{"scalar", "blocked"};
-  for (const auto* be : hsd::testing::fast_backends()) {
-    if (be->name() != "blocked") backends.emplace_back(be->name());
-  }
+  std::vector<std::string> backends{"scalar"};
+  for (const auto* be : hsd::testing::fast_backends()) backends.emplace_back(be->name());
   for (const std::string& backend : backends) {
     const hsd::testing::BackendGuard guard(backend);
     runtime::set_global_threads(1);
@@ -194,26 +188,23 @@ TEST_F(DctBatchTest, FusedMagnitudeEpilogueMatchesUnfused) {
 
 TEST_F(DctBatchTest, TruncatedPerClipMatchesFullTransformCrop) {
   // forward_lowfreq now truncates both GEMMs; every retained element must
-  // still match the full n x n transform bit for bit on the exact backends.
+  // still match the full n x n transform bit for bit on the exact backend.
   const std::size_t g = 32;
   const Dct2d dct(g);
   const std::vector<float> block = random_blocks(1, g, 11);
-  for (const std::string backend : {std::string("scalar"), std::string("blocked")}) {
-    const hsd::testing::BackendGuard guard(backend);
-    const std::vector<float> full = dct.forward(block);
-    for (const std::size_t keep : {std::size_t{1}, g / 2, g}) {
-      const std::vector<float> low = dct.forward_lowfreq(block, keep);
-      std::vector<float> crop(keep * keep);
-      for (std::size_t i = 0; i < keep; ++i) {
-        for (std::size_t j = 0; j < keep; ++j) {
-          crop[i * keep + j] = full[i * g + j];
-        }
+  const hsd::testing::BackendGuard guard("scalar");
+  const std::vector<float> full = dct.forward(block);
+  for (const std::size_t keep : {std::size_t{1}, g / 2, g}) {
+    const std::vector<float> low = dct.forward_lowfreq(block, keep);
+    std::vector<float> crop(keep * keep);
+    for (std::size_t i = 0; i < keep; ++i) {
+      for (std::size_t j = 0; j < keep; ++j) {
+        crop[i * keep + j] = full[i * g + j];
       }
-      EXPECT_TRUE(hsd::testing::compare_buffers(
-          crop, low, hsd::testing::Tolerance{},
-          "forward_lowfreq crop backend=" + backend +
-              " keep=" + std::to_string(keep)));
     }
+    EXPECT_TRUE(hsd::testing::compare_buffers(
+        crop, low, hsd::testing::Tolerance{},
+        "forward_lowfreq crop backend=scalar keep=" + std::to_string(keep)));
   }
 }
 
